@@ -33,7 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="hex (0x5EED) or decimal")
     verify.add_argument("--format", choices=("json", "text"), default="json")
     verify.add_argument("--report", default=None, help="write the report here")
-    verify.add_argument("--threads", type=int, default=None)
 
     catalog = sub.add_parser("catalog", help="dump a relation catalog")
     catalog.add_argument("--dump", required=True,
@@ -59,7 +58,7 @@ def main(argv=None) -> int:
         try:
             report = suites.run_suite(
                 args.suite, n=args.n, k=args.k, samples=args.samples,
-                seed=args.seed, threads=args.threads,
+                seed=args.seed,
             )
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -85,6 +84,9 @@ def main(argv=None) -> int:
             report = certificates.check_certificate_file(args.file, depth=args.depth)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except UnicodeDecodeError as exc:
+            print(f"error: {args.file}: {exc}", file=sys.stderr)
             return 2
         print(report.summary())
         return 0 if report.ok else 1

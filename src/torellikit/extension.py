@@ -62,13 +62,6 @@ def ext_inv(group: ExtGroup, g: ExtElement) -> ExtElement:
     return ExtElement(group.phi_inv(g.q, value), q_inv)
 
 
-def ext_product(group: ExtGroup, elements) -> ExtElement:
-    out = group.identity()
-    for g in elements:
-        out = ext_mul(group, out, g)
-    return out
-
-
 def ext_eq(g1: ExtElement, g2: ExtElement) -> bool:
     return g1.k == g2.k and g1.q.z == g2.q.z and g1.q.a == g2.q.a
 

@@ -496,13 +496,6 @@ def nielsen_relators(n: int) -> Iterator[RelationInstance]:
                         yield _inst("N5", (p, q, r, al, be, g), b, _eq(lhs, rhs))
 
 
-def inverse_pair_words(kind: str, n: int) -> Iterator[RelationInstance]:
-    """The words s * s^-1 for s in the signed alphabet."""
-    b = std_basis(n)
-    for s in signed_alphabet(kind, n):
-        yield _inst(f"{kind}.invpair", (s,), b, (s, token_inv(s)))
-
-
 def zn_relators(n: int) -> Iterator[RelationInstance]:
     """Commutators of the y-transvections: the relations of Z^n."""
     b = std_basis(n)

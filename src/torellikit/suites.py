@@ -1,18 +1,15 @@
 """Verification suites: one per computer-checked identity family.
 
 Every suite is a deterministic function of its parameters (rank, sample
-count, seed): case inputs are generated up front from a seeded generator,
-so repeated runs produce identical reports (the wall-time field aside).
-Cases are evaluated through a thread pool whose width is capped by the
-``VERIKIT_THREADS`` environment variable.
+count, seed): case inputs come from a seeded generator, so repeated runs
+produce identical reports (the wall-time field aside).  Each suite is a
+generator of case results; cases run serially, in order.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from random import Random
 
@@ -48,14 +45,12 @@ class SuiteReport:
     def passed(self) -> bool:
         return bool(self.cases) and not self.failures
 
-    def to_dict(self, with_elapsed: bool = True) -> dict:
-        out = {"suite": self.suite, "params": self.params, "cases": self.cases}
-        if with_elapsed:
-            out["elapsed_ms"] = round(self.elapsed_ms, 3)
-        return out
+    def to_dict(self) -> dict:
+        return {"suite": self.suite, "params": self.params, "cases": self.cases,
+                "elapsed_ms": round(self.elapsed_ms, 3)}
 
-    def to_json(self, with_elapsed: bool = True) -> str:
-        return json.dumps(self.to_dict(with_elapsed), sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     def to_text(self) -> str:
         lines = [
@@ -75,57 +70,18 @@ def _case(case_id, ok, witness=None) -> dict:
     return out
 
 
-def _thread_count() -> int:
-    env = os.environ.get("VERIKIT_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
-def _run(name, params, case_iter, threads=None) -> SuiteReport:
-    started = time.monotonic()
-    cases = list(case_iter)
-    workers = threads or _thread_count()
-    if workers <= 1:
-        results = [thunk() for _, thunk in cases]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda pair: pair[1](), cases))
-    report = SuiteReport(name, params)
-    report.cases = [r for r in results]
-    report.elapsed_ms = (time.monotonic() - started) * 1000.0
-    return report
-
-
 # ---------------------------------------------------------------------------
-# individual suites
+# shared case kinds
 
 
-def _suite_table1(n, k, samples, seed):
-    for inst in lpres.table1_instances(n, k):
-        def thunk(inst=inst):
-            return _case(
-                inst.family + str(inst.params),
-                lpres.verify_instance(inst),
-                inst.describe(),
-            )
-        yield inst.family, thunk
-
-
-def _suite_phi_conj(n, k, samples, seed):
-    basis = std_basis(n)
-    for s in signed_alphabet("S_Q", n):
-        for t in alphabet("S_K", n):
-            def thunk(s=s, t=t):
-                s_endo = interpret((s,), basis)
-                lhs = interpret(lpres.phi_gen(s, t, n), basis)
-                rhs = s_endo * interpret((t,), basis) * s_endo.inverse()
-                return _case(
-                    f"{format_token(s, basis)}|{format_token(t, basis)}",
-                    lhs == rhs,
-                    f"phi image {format_word(lpres.phi_gen(s, t, n), basis)}",
-                )
-            yield "case", thunk
+def _instances_hold(instances):
+    """Cases: each relation instance interprets to the identity."""
+    for inst in instances:
+        yield _case(
+            inst.family + str(inst.params),
+            lpres.verify_instance(inst),
+            inst.describe(),
+        )
 
 
 def _psi_fixed_by(word, n):
@@ -138,54 +94,65 @@ def _psi_fixed_by(word, n):
     return None
 
 
-def _suite_phi_inverse_a(n, k, samples, seed):
+def _acts_trivially(n, relators):
+    """Cases: each ``(case id, word)`` acts trivially through phi."""
+    for case_id, word in relators:
+        witness = _psi_fixed_by(word, n)
+        yield _case(case_id, witness is None, witness and f"moves {witness}")
+
+
+def _named_words(instances) -> list:
+    return [(inst.family + str(inst.params), inst.word.tokens)
+            for inst in instances]
+
+
+def _inverse_pairs(kind, n) -> list:
     basis = std_basis(n)
-    for s in signed_alphabet("S_A", n):
-        def thunk(s=s):
-            witness = _psi_fixed_by((s, token_inv(s)), n)
-            return _case(
-                f"inv-pair {format_token(s, basis)}",
-                witness is None,
-                witness and f"moves {witness}",
-            )
-        yield "case", thunk
+    return [(f"inv-pair {format_token(s, basis)}", (s, token_inv(s)))
+            for s in signed_alphabet(kind, n)]
 
 
-def _suite_phi_nielsen(n, k, samples, seed):
-    for inst in lpres.nielsen_relators(n):
-        def thunk(inst=inst):
-            witness = _psi_fixed_by(inst.word.tokens, n)
-            return _case(
-                inst.family + str(inst.params),
-                witness is None,
-                witness and f"moves {witness}",
-            )
-        yield inst.family, thunk
+# ---------------------------------------------------------------------------
+# individual suites
+
+
+def _suite_table1(n, k, samples, seed):
+    return _instances_hold(lpres.table1_instances(n, k))
+
+
+def _suite_gamma_rel(n, k, samples, seed):
+    return _instances_hold(lpres.rk0_instances(n))
+
+
+def _suite_phi_inverse_a(n, k, samples, seed):
+    return _acts_trivially(n, _inverse_pairs("S_A", n))
 
 
 def _suite_phi_inverse_z(n, k, samples, seed):
-    basis = std_basis(n)
-    for s in signed_alphabet("S_Z", n):
-        def thunk(s=s):
-            witness = _psi_fixed_by((s, token_inv(s)), n)
-            return _case(
-                f"inv-pair {format_token(s, basis)}",
-                witness is None,
-                witness and f"moves {witness}",
-            )
-        yield "case", thunk
+    return _acts_trivially(n, _inverse_pairs("S_Z", n))
+
+
+def _suite_phi_nielsen(n, k, samples, seed):
+    return _acts_trivially(n, _named_words(lpres.nielsen_relators(n)))
 
 
 def _suite_phi_zn(n, k, samples, seed):
-    for inst in lpres.zn_relators(n):
-        def thunk(inst=inst):
-            witness = _psi_fixed_by(inst.word.tokens, n)
-            return _case(
-                inst.family + str(inst.params),
-                witness is None,
-                witness and f"moves {witness}",
+    return _acts_trivially(n, _named_words(lpres.zn_relators(n)))
+
+
+def _suite_phi_conj(n, k, samples, seed):
+    basis = std_basis(n)
+    for s in signed_alphabet("S_Q", n):
+        s_endo = interpret((s,), basis)
+        s_inv = s_endo.inverse()
+        for t in alphabet("S_K", n):
+            image = lpres.phi_gen(s, t, n)
+            rhs = s_endo * interpret((t,), basis) * s_inv
+            yield _case(
+                f"{format_token(s, basis)}|{format_token(t, basis)}",
+                interpret(image, basis) == rhs,
+                f"phi image {format_word(image, basis)}",
             )
-        yield inst.family, thunk
 
 
 def _zprime_relators(n):
@@ -200,165 +167,116 @@ def _suite_lambda_zrel(n, k, samples, seed):
     basis = std_basis(n)
     for f in signed_alphabet("S_A", n):
         for r in _zprime_relators(n):
-            def thunk(f=f, r=r):
-                value = twisted.tlambda1(f, r, n)
-                return _case(
-                    f"{format_token(f, basis)}|{format_word(r, basis)}",
-                    interpret(value.tokens, basis).is_identity,
-                    f"expansion {value}",
-                )
-            yield "case", thunk
+            value = twisted.tlambda1(f, r, n)
+            yield _case(
+                f"{format_token(f, basis)}|{format_word(r, basis)}",
+                interpret(value.tokens, basis).is_identity,
+                f"expansion {value}",
+            )
 
 
 def _suite_tb3(n, k, samples, seed):
     basis = std_basis(n)
     data = twisted.birman_data(n)
     failures = twisted.tb_check(data, samples=samples, seed=seed)
-    sampled_bad = {axiom for axiom, _ in failures}
     for axiom in ("TB1", "TB2", "TB3"):
-        def thunk(axiom=axiom):
-            wit = "; ".join(w for ax, w in failures if ax == axiom)
-            return _case(f"{axiom}.sampled", axiom not in sampled_bad, wit)
-        yield "sampled", thunk
+        bad = [w for ax, w in failures if ax == axiom]
+        yield _case(f"{axiom}.sampled", not bad, "; ".join(bad))
     kernel = [interpret((t,), basis) for t in alphabet("S_K", n)]
     for f in alphabet("S_A", n):
         for z in alphabet("S_Z", n):
-            def thunk(f=f, z=z):
-                zvec = twisted.zn_vector(z, n)
-                lam = data.lam((f,), zvec)
-                f1 = twisted.iota1((f,), n)
-                moved = data.act_A_on_B((f,), zvec)
-                for idx, kk in enumerate(kernel):
-                    lhs = lam * (
-                        twisted.iota2(moved, n)
-                        * (f1 * kk * f1.inverse())
-                        * twisted.iota2(moved, n).inverse()
-                    ) * lam.inverse()
-                    rhs = f1 * (
-                        twisted.iota2(zvec, n) * kk * twisted.iota2(zvec, n).inverse()
-                    ) * f1.inverse()
-                    if lhs != rhs:
-                        return _case(
-                            f"TB3 {format_token(f, basis)}|{format_token(z, basis)}",
-                            False,
-                            f"kernel generator #{idx}",
-                        )
-                return _case(
-                    f"TB3 {format_token(f, basis)}|{format_token(z, basis)}", True
-                )
-            yield "exhaustive", thunk
+            zvec = twisted.zn_vector(z, n)
+            idx = next(twisted.tb3_failures(data, (f,), zvec, kernel), None)
+            yield _case(
+                f"TB3 {format_token(f, basis)}|{format_token(z, basis)}",
+                idx is None,
+                f"kernel generator #{idx}",
+            )
 
 
 def _suite_lambda_arel(n, k, samples, seed):
     basis = std_basis(n)
     unit_vectors = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    relators = [(inst.family + str(inst.params), inst.word.tokens)
-                for inst in lpres.nielsen_relators(n)]
+    relators = _named_words(lpres.nielsen_relators(n))
     relators += [
         (f"invpair {format_token(s, basis)}", (s, token_inv(s)))
         for s in signed_alphabet("S_A", n)
     ]
     for name, r in relators:
-        def thunk(name=name, r=r):
-            for e in unit_vectors:
-                value = twisted.tlambda2(r, e, n)
-                if not interpret(value.tokens, basis).is_identity:
-                    return _case(name, False, f"z = {e}: {value}")
-            return _case(name, True)
-        yield name, thunk
+        witness = None
+        for e in unit_vectors:
+            value = twisted.tlambda2(r, e, n)
+            if not interpret(value.tokens, basis).is_identity:
+                witness = f"z = {e}: {value}"
+                break
+        yield _case(name, witness is None, witness)
     rng = Random(seed)
     sa = signed_alphabet("S_A", n)
-    inputs = []
     for i in range(samples):
         w = tuple(rng.choice(sa) for _ in range(rng.randint(0, 5)))
         z = tuple(rng.randint(-3, 3) for _ in range(n))
-        inputs.append((i, w, z))
-    for i, w, z in inputs:
-        def thunk(i=i, w=w, z=z):
-            sym = twisted.tlambda2(w, z, n)
-            ok = interpret(sym.tokens, basis) == twisted.lambda_bar(w, z, n)
-            return _case(
-                f"matches-twisted-commutator.{i}", ok,
-                f"w={format_word(w, basis)} z={z}",
-            )
-        yield "sample", thunk
-
-
-def _suite_gamma_rel(n, k, samples, seed):
-    for inst in lpres.rk0_instances(n):
-        def thunk(inst=inst):
-            return _case(
-                inst.family + str(inst.params),
-                lpres.verify_instance(inst),
-                inst.describe(),
-            )
-        yield inst.family, thunk
+        sym = twisted.tlambda2(w, z, n)
+        yield _case(
+            f"matches-twisted-commutator.{i}",
+            interpret(sym.tokens, basis) == twisted.lambda_bar(w, z, n),
+            f"w={format_word(w, basis)} z={z}",
+        )
 
 
 def _suite_extension(n, k, samples, seed):
     group = extension.birman_ext(n)
     rng = Random(seed)
-    triples = [
-        tuple(extension.random_element(group, rng) for _ in range(3))
-        for _ in range(samples)
-    ]
-    for i, (g1, g2, g3) in enumerate(triples):
-        def thunk(i=i, g1=g1, g2=g2, g3=g3):
-            lhs = extension.ext_mul(group, extension.ext_mul(group, g1, g2), g3)
-            rhs = extension.ext_mul(group, g1, extension.ext_mul(group, g2, g3))
-            return _case(f"assoc.{i}", extension.ext_eq(lhs, rhs))
-        yield "assoc", thunk
-    singles = [extension.random_element(group, rng) for _ in range(samples)]
-    for i, g in enumerate(singles):
-        def thunk(i=i, g=g):
-            gi = extension.ext_inv(group, g)
-            ok = extension.is_ext_identity(
-                group, extension.ext_mul(group, g, gi)
-            ) and extension.is_ext_identity(group, extension.ext_mul(group, gi, g))
-            return _case(f"two-sided-inverse.{i}", ok)
-        yield "inv", thunk
+    for i in range(samples):
+        g1, g2, g3 = (extension.random_element(group, rng) for _ in range(3))
+        lhs = extension.ext_mul(group, extension.ext_mul(group, g1, g2), g3)
+        rhs = extension.ext_mul(group, g1, extension.ext_mul(group, g2, g3))
+        yield _case(f"assoc.{i}", extension.ext_eq(lhs, rhs))
+    for i in range(samples):
+        g = extension.random_element(group, rng)
+        gi = extension.ext_inv(group, g)
+        ok = extension.is_ext_identity(
+            group, extension.ext_mul(group, g, gi)
+        ) and extension.is_ext_identity(group, extension.ext_mul(group, gi, g))
+        yield _case(f"two-sided-inverse.{i}", ok)
     failures = extension.cocycle_check(group, samples=samples, seed=seed)
     for name in ("conjugation-identity", "cocycle-identity"):
-        def thunk(name=name):
-            wit = "; ".join(w for nm, w in failures if nm == name)
-            return _case(name, all(nm != name for nm, _ in failures), wit)
-        yield "cocycle", thunk
-    normals = [
-        (extension.random_q(n, rng), extension.random_kernel(n, rng))
-        for _ in range(samples)
-    ]
-    for i, (q, kk) in enumerate(normals):
-        def thunk(i=i, q=q, kk=kk):
-            gq = extension.ExtElement(group.kernel_identity, q)
-            gk = extension.ExtElement(kk, group.identity().q)
-            conj = extension.ext_mul(
-                group, extension.ext_mul(group, gq, gk), extension.ext_inv(group, gq)
-            )
-            ok = not any(conj.q.z) and conj.q.a.is_identity
-            return _case(f"kernel-normal.{i}", ok)
-        yield "normal", thunk
+        wit = "; ".join(w for nm, w in failures if nm == name)
+        yield _case(name, all(nm != name for nm, _ in failures), wit)
+    for i in range(samples):
+        q, kk = extension.random_q(n, rng), extension.random_kernel(n, rng)
+        gq = extension.ExtElement(group.kernel_identity, q)
+        gk = extension.ExtElement(kk, group.identity().q)
+        conj = extension.ext_mul(
+            group, extension.ext_mul(group, gq, gk), extension.ext_inv(group, gq)
+        )
+        ok = not any(conj.q.z) and conj.q.a.is_identity
+        yield _case(f"kernel-normal.{i}", ok)
 
 
 def _suite_jw_delta(n, k, samples, seed):
     basis = std_basis(n)
     group = extension.birman_ext(n)
     for c in alphabet("S_C", n):
-        def thunk(c=c):
-            img = extension.forward(group, extension.phi_inverse_gen(c, group))
-            return _case(
-                f"generator {format_token(c, basis)}",
-                img == interpret((c,), basis),
-            )
-        yield "gen", thunk
+        img = extension.forward(group, extension.phi_inverse_gen(c, group))
+        yield _case(
+            f"generator {format_token(c, basis)}",
+            img == interpret((c,), basis),
+        )
     for inst in lpres.jensen_wahl_relators(n):
-        def thunk(inst=inst):
-            g = extension.phi_inverse_word(inst.word.tokens, group)
-            return _case(
-                inst.family + str(inst.params),
-                extension.is_ext_identity(group, g),
-                inst.describe(),
-            )
-        yield inst.family, thunk
+        g = extension.phi_inverse_word(inst.word.tokens, group)
+        yield _case(
+            inst.family + str(inst.params),
+            extension.is_ext_identity(group, g),
+            inst.describe(),
+        )
+
+
+def _johnson_row_only(rows, z, expect_row) -> bool:
+    """The Johnson rows are ``expect_row`` at generator ``z``, zero elsewhere."""
+    return all(
+        rows[c] == (expect_row if c == z else (0,) * len(expect_row))
+        for c in range(len(rows))
+    )
 
 
 def _suite_johnson(n, k, samples, seed):
@@ -368,78 +286,58 @@ def _suite_johnson(n, k, samples, seed):
         for zp in range(basis.size):
             if z == zp:
                 continue
-            def thunk(z=z, zp=zp):
-                f = autos.conjugation(basis, z, zp)
-                rows = autos.johnson(f)
-                expect_row = autos.wedge(
-                    _unit(basis.size, zp), _unit(basis.size, z)
-                )
-                ok = all(
-                    rows[c] == (expect_row if c == z else (0,) * len(expect_row))
-                    for c in range(basis.size)
-                )
-                return _case(
-                    f"tau-conj {basis.gen_name(z)},{basis.gen_name(zp)}", ok,
-                    f"rows {rows}",
-                )
-            yield "tau", thunk
+            rows = autos.johnson(autos.conjugation(basis, z, zp))
+            expect_row = autos.wedge(_unit(basis.size, zp), _unit(basis.size, z))
+            yield _case(
+                f"tau-conj {basis.gen_name(z)},{basis.gen_name(zp)}",
+                _johnson_row_only(rows, z, expect_row),
+                f"rows {rows}",
+            )
     for z in range(basis.size):
         for zp in range(basis.size):
             for zpp in range(basis.size):
                 if len({z, zp, zpp}) != 3:
                     continue
-                def thunk(z=z, zp=zp, zpp=zpp):
-                    v = commutator(
-                        Word(basis, ((zp, 1),)), Word(basis, ((zpp, 1),))
-                    )
-                    f = autos.transvection(basis, z, 1, v)
-                    rows = autos.johnson(f)
-                    expect_row = autos.wedge(
-                        _unit(basis.size, zp), _unit(basis.size, zpp)
-                    )
-                    ok = all(
-                        rows[c] == (expect_row if c == z else (0,) * len(expect_row))
-                        for c in range(basis.size)
-                    )
-                    return _case(
-                        "tau-commtv %s,[%s,%s]" % (
-                            basis.gen_name(z), basis.gen_name(zp),
-                            basis.gen_name(zpp),
-                        ),
-                        ok, f"rows {rows}",
-                    )
-                yield "tau", thunk
+                v = commutator(Word(basis, ((zp, 1),)), Word(basis, ((zpp, 1),)))
+                rows = autos.johnson(autos.transvection(basis, z, 1, v))
+                expect_row = autos.wedge(
+                    _unit(basis.size, zp), _unit(basis.size, zpp)
+                )
+                yield _case(
+                    "tau-commtv %s,[%s,%s]" % (
+                        basis.gen_name(z), basis.gen_name(zp),
+                        basis.gen_name(zpp),
+                    ),
+                    _johnson_row_only(rows, z, expect_row),
+                    f"rows {rows}",
+                )
     for nn, kk in ((2, 1), (2, 2), (n, k)):
-        def thunk(nn=nn, kk=kk):
-            gens = autos.johnson_basis_generators(Basis(nn, kk))
-            rank = autos.johnson_rank(gens)
-            expect = autos.expected_johnson_rank(nn, kk)
-            return _case(
-                f"rank({nn},{kk})",
-                rank == expect and rank == len(gens),
-                f"rank {rank}, formula {expect}, generators {len(gens)}",
-            )
-        yield "rank", thunk
+        gens = autos.johnson_basis_generators(Basis(nn, kk))
+        rank = autos.johnson_rank(gens)
+        expect = autos.expected_johnson_rank(nn, kk)
+        yield _case(
+            f"rank({nn},{kk})",
+            rank == expect and rank == len(gens),
+            f"rank {rank}, formula {expect}, generators {len(gens)}",
+        )
     rng = Random(seed)
     gens = autos.torelli_kernel_generators(basis)
-    pairs = []
+
+    def rand_word():
+        out = autos.identity(basis)
+        for _ in range(rng.randint(0, 4)):
+            g = rng.choice(gens)
+            out = out * (g if rng.random() < 0.5 else g.inverse())
+        return out
+
     for i in range(samples):
-        def rand_word():
-            out = autos.identity(basis)
-            for _ in range(rng.randint(0, 4)):
-                g = rng.choice(gens)
-                out = out * (g if rng.random() < 0.5 else g.inverse())
-            return out
-        pairs.append((i, rand_word(), rand_word()))
-    for i, f, g in pairs:
-        def thunk(i=i, f=f, g=g):
-            lhs = autos.johnson(f * g)
-            rhs = tuple(
-                tuple(x + y for x, y in zip(rf, rg))
-                for rf, rg in zip(autos.johnson(f), autos.johnson(g))
-            )
-            return _case(f"additive.{i}", lhs == rhs)
-        yield "hom", thunk
+        f, g = rand_word(), rand_word()
+        lhs = autos.johnson(f * g)
+        rhs = tuple(
+            tuple(x + y for x, y in zip(rf, rg))
+            for rf, rg in zip(autos.johnson(f), autos.johnson(g))
+        )
+        yield _case(f"additive.{i}", lhs == rhs)
 
 
 def _unit(m, i):
@@ -448,23 +346,19 @@ def _unit(m, i):
 
 def _suite_stab_psi(n, k, samples, seed):
     rng = Random(seed)
-    mats = [
-        (semidirect.random_stabilizer(n, rng), semidirect.random_stabilizer(n, rng))
-        for _ in range(samples)
-    ]
-    for i, (m1, m2) in enumerate(mats):
-        def thunk(i=i, m1=m1, m2=m2):
-            z1, b1 = semidirect.stab_decompose(m1)
-            z2, b2 = semidirect.stab_decompose(m2)
-            z12, b12 = semidirect.stab_decompose(intmat.matmul(m1, m2))
-            moved = semidirect.gl_act_on_Zn(b1, z2)
-            ok = (
-                b12 == intmat.matmul(b1, b2)
-                and z12 == tuple(a + b for a, b in zip(z1, moved))
-                and semidirect.stab_compose(z1, b1) == m1
-            )
-            return _case(f"pair.{i}", ok)
-        yield "psi", thunk
+    for i in range(samples):
+        m1 = semidirect.random_stabilizer(n, rng)
+        m2 = semidirect.random_stabilizer(n, rng)
+        z1, b1 = semidirect.stab_decompose(m1)
+        z2, b2 = semidirect.stab_decompose(m2)
+        z12, b12 = semidirect.stab_decompose(intmat.matmul(m1, m2))
+        moved = semidirect.gl_act_on_Zn(b1, z2)
+        ok = (
+            b12 == intmat.matmul(b1, b2)
+            and z12 == tuple(a + b for a, b in zip(z1, moved))
+            and semidirect.stab_compose(z1, b1) == m1
+        )
+        yield _case(f"pair.{i}", ok)
 
 
 def _suite_magnus_oracle(n, k, samples, seed):
@@ -478,25 +372,18 @@ def _suite_magnus_oracle(n, k, samples, seed):
         ]
         return Word(basis, letters)
 
-    pairs = [(i, rand_word(), rand_word()) for i in range(samples)]
-    for i, u, v in pairs:
-        def thunk(i=i, u=u, v=v):
-            lhs = autos.lambda2_projection(commutator(u, v))
-            rhs = autos.wedge(u.abelianize(), v.abelianize())
-            return _case(f"commutator-wedge.{i}", lhs == rhs, f"u={u} v={v}")
-        yield "oracle", thunk
-    triples = []
+    for i in range(samples):
+        u, v = rand_word(), rand_word()
+        lhs = autos.lambda2_projection(commutator(u, v))
+        rhs = autos.wedge(u.abelianize(), v.abelianize())
+        yield _case(f"commutator-wedge.{i}", lhs == rhs, f"u={u} v={v}")
     for i in range(samples):
         w = commutator(rand_word(4), rand_word(4)) * commutator(
             rand_word(4), rand_word(4)
         )
         deep = commutator(commutator(rand_word(3), rand_word(3)), rand_word(3))
-        triples.append((i, w, deep))
-    for i, w, deep in triples:
-        def thunk(i=i, w=w, deep=deep):
-            ok = autos.lambda2_projection(w * deep) == autos.lambda2_projection(w)
-            return _case(f"triple-commutator-invariance.{i}", ok)
-        yield "gamma3", thunk
+        ok = autos.lambda2_projection(w * deep) == autos.lambda2_projection(w)
+        yield _case(f"triple-commutator-invariance.{i}", ok)
 
 
 _SUITES = {
@@ -517,14 +404,19 @@ _SUITES = {
     "magnus-oracle": (_suite_magnus_oracle, dict(n=3, k=2)),
 }
 
+# lower bounds on parameters, checked before a suite starts
+_LIMITS = {
+    "johnson": dict(k=1),
+    "stab-psi": dict(n=1),
+}
+
 
 def suite_names() -> list:
     return sorted(_SUITES)
 
 
 def run_suite(name: str, n: int | None = None, k: int | None = None,
-              samples: int | None = None, seed: int | None = None,
-              threads: int | None = None) -> SuiteReport:
+              samples: int | None = None, seed: int | None = None) -> SuiteReport:
     """Run one named suite; parameters default per suite."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; have {suite_names()}")
@@ -534,7 +426,12 @@ def run_suite(name: str, n: int | None = None, k: int | None = None,
     samples = DEFAULT_SAMPLES if samples is None else samples
     seed = DEFAULT_SEED if seed is None else seed
     params = {"n": n, "k": k, "samples": samples, "seed": seed}
-    report = _run(name, params, fn(n, k, samples, seed), threads=threads)
+    for key, low in _LIMITS.get(name, {}).items():
+        if params[key] < low:
+            raise ValueError(f"{name} needs {key} >= {low}")
+    started = time.monotonic()
+    report = SuiteReport(name, params, list(fn(n, k, samples, seed)))
+    report.elapsed_ms = (time.monotonic() - started) * 1000.0
     if not report.cases:
         raise ValueError(f"suite {name} produced no cases for {params}")
     return report

@@ -147,9 +147,6 @@ class SymWord:
     def __str__(self):
         return format_word(self.tokens, self.basis)
 
-    def to_endo(self) -> autos.Endo:
-        return interpret(self.tokens, self.basis)
-
 
 def sym_mul(u: SymWord, v: SymWord) -> SymWord:
     return u * v
@@ -157,10 +154,6 @@ def sym_mul(u: SymWord, v: SymWord) -> SymWord:
 
 def sym_inv(u: SymWord) -> SymWord:
     return u.inv()
-
-
-def sym_commutator(u: SymWord, v: SymWord) -> SymWord:
-    return u * v * u.inv() * v.inv()
 
 
 # ---------------------------------------------------------------------------

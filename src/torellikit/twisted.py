@@ -203,6 +203,21 @@ class TwistedBilinearData:
     describe: Callable = field(default=lambda x: str(x))
 
 
+def tb3_failures(d: TwistedBilinearData, a, b, ks):
+    """Yield the index of each k in ``ks`` at which TB3 fails for (a, b):
+
+        lam(a, b) ((a . b) . (a . k)) lam(a, b)^-1 = a . (b . k).
+    """
+    lam = d.lam(a, b)
+    lam_inv = d.inv_K(lam)
+    moved = d.act_A_on_B(a, b)
+    for idx, k in enumerate(ks):
+        lhs = d.mul_K(d.mul_K(lam, d.act_B_on_K(moved, d.act_A_on_K(a, k))), lam_inv)
+        rhs = d.act_A_on_K(a, d.act_B_on_K(b, k))
+        if not d.eq_K(lhs, rhs):
+            yield idx
+
+
 def tb_check(data: TwistedBilinearData, samples: int = 100,
              seed: int = DEFAULT_SEED, k_generators=None) -> list:
     """Evaluate TB1/TB2/TB3 on seeded samples; returns the failure list.
@@ -226,25 +241,15 @@ def tb_check(data: TwistedBilinearData, samples: int = 100,
         rhs = d.mul_K(d.act_A_on_K(a1, d.lam(a2, b)), d.lam(a1, d.act_A_on_B(a2, b)))
         if not d.eq_K(lhs, rhs):
             failures.append(("TB2", f"a1={d.describe(a1)} a2={d.describe(a2)} b={b}"))
-
-    def tb3_once(a, b, k, label):
-        lam = d.lam(a, b)
-        lhs = d.mul_K(
-            d.mul_K(lam, d.act_B_on_K(d.act_A_on_B(a, b), d.act_A_on_K(a, k))),
-            d.inv_K(lam),
-        )
-        rhs = d.act_A_on_K(a, d.act_B_on_K(b, k))
-        if not d.eq_K(lhs, rhs):
-            failures.append(("TB3", label))
-
     for case in range(samples):
         a, b, k = d.sample_A(rng), d.sample_B(rng), d.sample_K(rng)
-        tb3_once(a, b, k, f"a={d.describe(a)} b={b} (sampled k)")
+        for _ in tb3_failures(d, a, b, [k]):
+            failures.append(("TB3", f"a={d.describe(a)} b={b} (sampled k)"))
     if k_generators is not None:
         for a in getattr(d, "exhaustive_A", []):
             for b in getattr(d, "exhaustive_B", []):
-                for idx, k in enumerate(k_generators):
-                    tb3_once(a, b, k, f"a={d.describe(a)} b={b} k#{idx}")
+                for idx in tb3_failures(d, a, b, k_generators):
+                    failures.append(("TB3", f"a={d.describe(a)} b={b} k#{idx}"))
     return failures
 
 

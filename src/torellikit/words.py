@@ -77,9 +77,6 @@ class Basis:
         code, sign = self.parse_letter(text)
         return Word(self, ((code, sign),))
 
-    def identity_word(self) -> "Word":
-        return Word(self, ())
-
     def generators(self) -> list["Word"]:
         return [Word(self, ((code, 1),)) for code in range(self.size)]
 
