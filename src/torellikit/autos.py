@@ -8,6 +8,12 @@ inverts by its own rule.
 
 Composition convention: ``compose(f, g)`` (also ``f * g``) applies ``g``
 first, so ``(f * g)(w) = f(g(w))`` and products act on the left.
+
+Composition builds only what changed: where ``g`` sends a generator to a
+generator, ``f * g`` reuses ``f``'s image word.  So composing with a
+transvection, a conjugation move or an inversion builds one new image, and
+with a swap none.  Image blocks are joined with cancellation only at each
+junction, since every image is already freely reduced.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intmat
-from .words import Basis, Word, commutator
+from .words import _INVERSE, Basis, Word, _inverse_letters, _word, commutator
 
 # Factorization atoms.  Each is a tuple:
 #   ("M", z, alpha, v_letters)  transvection M_{z^alpha, v}
@@ -33,7 +39,7 @@ class Endo:
         if len(images) != basis.size:
             raise ValueError("need one image per basis generator")
         for w in images:
-            if w.basis != basis:
+            if w.basis is not basis and w.basis != basis:
                 raise ValueError("image word over the wrong basis")
         self.basis = basis
         self.images = tuple(images)
@@ -44,23 +50,28 @@ class Endo:
         return self.images[code]
 
     def apply(self, w: Word) -> Word:
-        if w.basis != self.basis:
+        if w.basis is not self.basis and w.basis != self.basis:
             raise ValueError("word over the wrong basis")
-        letters = []
-        for code, sign in w.letters:
-            img = self.images[code]
-            letters.extend(img.letters if sign == 1 else img.inv().letters)
-        return Word(self.basis, letters)
+        return _word(self.basis, _image_letters(self.images, w.letters))
 
     def __mul__(self, other: "Endo") -> "Endo":
         """Composition, ``other`` first: ``(f * g)(w) = f(g(w))``."""
-        if self.basis != other.basis:
+        basis = self.basis
+        if other.basis is not basis and other.basis != basis:
             raise ValueError("cannot compose over different bases")
-        images = tuple(self.apply(w) for w in other.images)
+        mine = self.images
+        images = []
+        for w in other.images:
+            letters = w.letters
+            if len(letters) == 1 and letters[0][1] == 1:
+                # other sends this generator to a generator: f's image as is
+                images.append(mine[letters[0][0]])
+            else:
+                images.append(_word(basis, _image_letters(mine, letters)))
         factors = None
         if self.factors is not None and other.factors is not None:
             factors = self.factors + other.factors
-        return Endo(self.basis, images, factors)
+        return Endo(basis, images, factors)
 
     def __eq__(self, other) -> bool:
         """Equality of endomorphisms = equality of all basis images.
@@ -119,8 +130,40 @@ class Endo:
     __repr__ = __str__
 
 
+def _image_letters(images, letters) -> tuple:
+    """Reduced letters of the image of a reduced word under the
+    endomorphism with generator images ``images``.
+
+    Each block (an image or its inverse) is reduced, so letters cancel only
+    where a block meets the reduced prefix built so far.
+    """
+    out = []
+    pop, extend = out.pop, out.extend
+    inverse = _INVERSE
+    for code, sign in letters:
+        block = images[code].letters
+        if sign == -1:
+            block = _inverse_letters(block)
+        k, m = 0, len(block)
+        while k < m and out and out[-1] is inverse[block[k]]:
+            pop()
+            k += 1
+        extend(block[k:] if k else block)
+    return tuple(out)
+
+
+_IDENTITIES: dict = {}
+
+
 def identity(basis: Basis) -> Endo:
-    return Endo(basis, tuple(basis.generators()), ())
+    """The identity of F_{n,k}; one shared object per basis (Endo is
+    immutable)."""
+    out = _IDENTITIES.get(basis)
+    if out is None:
+        out = _IDENTITIES.setdefault(
+            basis, Endo(basis, tuple(basis.generators()), ())
+        )
+    return out
 
 
 def _atom_inverse(basis: Basis, atom):

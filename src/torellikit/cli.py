@@ -80,14 +80,21 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "certify":
+        if args.depth < 0:
+            print(f"error: --depth must be at least 0, got {args.depth}",
+                  file=sys.stderr)
+            return 2
         try:
-            report = certificates.check_certificate_file(args.file, depth=args.depth)
+            with open(args.file, "r", encoding="utf-8") as fh:
+                cert = certificates.parse_certificate(fh.read())
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except UnicodeDecodeError as exc:
+        except (UnicodeDecodeError, certificates.CertificateError) as exc:
             print(f"error: {args.file}: {exc}", file=sys.stderr)
             return 2
+        report = certificates.replay_certificate(cert, path=args.file,
+                                                 depth=args.depth)
         print(report.summary())
         return 0 if report.ok else 1
 

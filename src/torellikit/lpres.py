@@ -223,18 +223,31 @@ def _phi_m_xx(a, alpha, b, beta, t, y):
     return (t,)  # Mc[x_c, y, x_b], Mc[x_c, y, x_d] are fixed
 
 
+# (n, s) -> {S_K token or inverse -> its phi image}
+_PHI_SIGNED: dict = {}
+
+
+def _phi_signed(s, tok, n: int) -> tuple:
+    if is_generator(tok, "S_K", n):
+        return phi_gen(s, tok, n)
+    image = phi_gen(s, token_inv(tok), n)
+    return tuple(token_inv(x) for x in reversed(image))
+
+
 def phi_apply(s, word, n: int):
     """Extend phi_gen over a word of S_K tokens (an endomorphism of the
     free group on S_K)."""
     if isinstance(word, SymWord):
         word = word.tokens
+    table = _PHI_SIGNED.get((n, s))
+    if table is None:
+        table = _PHI_SIGNED.setdefault((n, s), {})
     out = []
     for tok in word:
-        if is_generator(tok, "S_K", n):
-            out.extend(phi_gen(s, tok, n))
-        else:
-            image = phi_gen(s, token_inv(tok), n)
-            out.extend(token_inv(x) for x in reversed(image))
+        image = table.get(tok)
+        if image is None:
+            image = table[tok] = _phi_signed(s, tok, n)
+        out.extend(image)
     return tuple(out)
 
 

@@ -84,20 +84,23 @@ def _instances_hold(instances):
         )
 
 
-def _psi_fixed_by(word, n):
-    """First S_K generator not fixed (up to interpretation) by phi(word)."""
+def _psi_fixed_by(word, n, kernel):
+    """First S_K generator not fixed (up to interpretation) by phi(word);
+    ``kernel`` pairs each S_K generator with its automorphism."""
     basis = std_basis(n)
-    for t in alphabet("S_K", n):
+    for t, t_endo in kernel:
         img = lpres.phi_word(word, SymWord(basis, (t,)), n)
-        if interpret(img.tokens, basis) != interpret((t,), basis):
+        if interpret(img.tokens, basis) != t_endo:
             return format_token(t, basis)
     return None
 
 
 def _acts_trivially(n, relators):
     """Cases: each ``(case id, word)`` acts trivially through phi."""
+    basis = std_basis(n)
+    kernel = [(t, interpret((t,), basis)) for t in alphabet("S_K", n)]
     for case_id, word in relators:
-        witness = _psi_fixed_by(word, n)
+        witness = _psi_fixed_by(word, n, kernel)
         yield _case(case_id, witness is None, witness and f"moves {witness}")
 
 

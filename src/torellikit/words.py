@@ -5,6 +5,14 @@ The free group here has two families of generators, written ``x1..xn`` and
 reduced word.  Letters are pairs ``(code, sign)`` where ``code`` is an
 integer generator code (x-generators first, then y-generators) and ``sign``
 is +1 or -1.
+
+Every letter of every word is the one shared tuple for its ``(code,
+sign)``, taken from a module-level table, so a letter costs one pointer and
+a letter cancels against the next exactly when that one ``is`` its inverse.
+The product of two freely reduced words cancels only at their junction
+(Sims, *Computation with Finitely Presented Groups*, 1994, ch. 1-2), so
+products, inverses and images of reduced words are built without a second
+reduction pass.
 """
 
 from __future__ import annotations
@@ -81,16 +89,58 @@ class Basis:
         return [Word(self, ((code, 1),)) for code in range(self.size)]
 
 
+# (code, sign) -> the shared letter tuple, and shared letter -> its inverse
+_LETTERS: dict = {}
+_INVERSE: dict = {}
+
+
+def _new_letter(code, sign) -> tuple:
+    """Enter both letters of a generator code into the tables."""
+    if sign not in (1, -1):
+        raise ValueError(f"letter sign must be +-1, got {sign}")
+    if code != int(code):
+        raise ValueError(f"generator code must be an integer, got {code}")
+    code = int(code)
+    # setdefault keeps one shared tuple per letter even if two threads race
+    plus = _LETTERS.setdefault((code, 1), (code, 1))
+    minus = _LETTERS.setdefault((code, -1), (code, -1))
+    _INVERSE.setdefault(plus, minus)
+    _INVERSE.setdefault(minus, plus)
+    return plus if sign == 1 else minus
+
+
 def _reduce(letters) -> tuple:
     out = []
     for code, sign in letters:
-        if sign not in (1, -1):
-            raise ValueError(f"letter sign must be +-1, got {sign}")
-        if out and out[-1][0] == code and out[-1][1] == -sign:
+        letter = _LETTERS.get((code, sign)) or _new_letter(code, sign)
+        if out and out[-1] is _INVERSE[letter]:
             out.pop()
         else:
-            out.append((code, sign))
+            out.append(letter)
     return tuple(out)
+
+
+def _inverse_letters(letters: tuple) -> tuple:
+    """Letters of the inverse of a reduced word: reversed, each inverted."""
+    return tuple(map(_INVERSE.__getitem__, reversed(letters)))
+
+
+def _join(left: tuple, right: tuple) -> tuple:
+    """Reduced letters of the product of two reduced letter tuples."""
+    k, m = 0, min(len(left), len(right))
+    while k < m and left[-1 - k] is _INVERSE[right[k]]:
+        k += 1
+    return left[:len(left) - k] + right[k:] if k else left + right
+
+
+def _word(basis: Basis, letters: tuple) -> "Word":
+    """A word from shared letters already freely reduced and in range for
+    ``basis``.  Internal paths build through this; ``Word(...)`` validates."""
+    w = object.__new__(Word)
+    w.basis = basis
+    w.letters = letters
+    w._hash = None
+    return w
 
 
 class Word:
@@ -100,8 +150,9 @@ class Word:
 
     def __init__(self, basis: Basis, letters=()):
         self.basis = basis
+        size = basis.size
         for code, _ in letters:
-            if not 0 <= code < basis.size:
+            if not 0 <= code < size:
                 raise ValueError(f"generator code {code} out of range for {basis}")
         self.letters = _reduce(letters)
         self._hash = None
@@ -115,7 +166,7 @@ class Word:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Word)
-            and self.basis == other.basis
+            and (self.basis is other.basis or self.basis == other.basis)
             and self.letters == other.letters
         )
 
@@ -125,12 +176,12 @@ class Word:
         return self._hash
 
     def __mul__(self, other: "Word") -> "Word":
-        if self.basis != other.basis:
+        if self.basis is not other.basis and self.basis != other.basis:
             raise ValueError("cannot multiply words over different bases")
-        return Word(self.basis, self.letters + other.letters)
+        return _word(self.basis, _join(self.letters, other.letters))
 
     def inv(self) -> "Word":
-        return Word(self.basis, tuple((c, -s) for c, s in reversed(self.letters)))
+        return _word(self.basis, _inverse_letters(self.letters))
 
     def __pow__(self, e: int) -> "Word":
         if e < 0:

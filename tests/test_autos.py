@@ -4,6 +4,7 @@ import pytest
 
 from torellikit import intmat
 from torellikit.autos import (
+    Endo,
     classify,
     compose,
     conjugation,
@@ -19,7 +20,7 @@ from torellikit.autos import (
     transvection,
     wedge,
 )
-from torellikit.words import Basis, Word, commutator
+from torellikit.words import _LETTERS, Basis, Word, _reduce, commutator
 
 
 B21 = Basis(2, 1)
@@ -216,3 +217,72 @@ def test_y_transvections_commute_on_distinct_generators():
                 u = transvection(b, b.x(i), 1, b.word(f"y{d}"))
                 v = transvection(b, b.x(j), 1, b.word(f"y{d}"))
                 assert compose(u, v, u.inverse(), v.inverse()).is_identity
+
+
+def reference_apply(f, w):
+    """f(w) as the reduction of the raw concatenation of image blocks."""
+    raw = []
+    for code, sign in w.letters:
+        img = f.images[code].letters
+        raw.extend(img if sign == 1 else [(c, -s) for c, s in reversed(img)])
+    return _reduce(raw)
+
+
+def random_elementary(basis, rng):
+    xs = [basis.x(i) for i in range(1, basis.n + 1)]
+    kind = rng.choice("MCPI")
+    if kind == "M":
+        z = rng.randrange(basis.size)
+        v = rng.choice([c for c in range(basis.size) if c != z])
+        return transvection(basis, z, rng.choice((1, -1)),
+                            Word(basis, ((v, rng.choice((1, -1))),)))
+    if kind == "C":
+        z, zp = rng.sample(range(basis.size), 2)
+        return conjugation(basis, z, zp, rng.choice((1, -1)))
+    if kind == "P":
+        return swap(basis, *rng.sample(xs, 2))
+    return inversion(basis, rng.choice(xs))
+
+
+def random_endo(basis, rng):
+    """An automorphism from a few elementary factors, or an arbitrary
+    endomorphism (which may send generators to 1)."""
+    if rng.random() < 0.3:
+        return Endo(basis, [rand_word(basis, rng, 4) for _ in range(basis.size)])
+    f = identity(basis)
+    for _ in range(rng.randint(0, 4)):
+        f = f * random_elementary(basis, rng)
+    return f
+
+
+def test_apply_and_compose_equal_reduce_of_concatenation():
+    rng = random.Random(41)
+    b = Basis(3, 1)
+    for _ in range(500):
+        f, g = random_endo(b, rng), random_endo(b, rng)
+        w = rand_word(b, rng, 10)
+        for word in (w, w.inv(), Word(b, ()), g.images[0] * f.images[0].inv()):
+            image = f.apply(word)
+            assert image.letters == reference_apply(f, word)
+            assert all(letter is _LETTERS[letter] for letter in image.letters)
+        fg = f * g
+        assert fg.images == tuple(
+            Word(b, reference_apply(f, img)) for img in g.images
+        )
+        for img in fg.images:
+            assert all(letter is _LETTERS[letter] for letter in img.letters)
+        if f.factors is not None:
+            assert (f * f.inverse()).is_identity
+            assert (f.inverse() * f).is_identity
+            assert f ** 2 == f * f and f ** -1 == f.inverse()
+
+
+def test_compose_reuses_unmoved_images():
+    b = Basis(3, 1)
+    f = transvection(b, b.x(2), 1, b.word("y1"))
+    t = conjugation(b, b.x(1), b.y(1))
+    ft = f * t
+    assert all(ft.images[c] is f.images[c] for c in range(b.size) if c != b.x(1))
+    p = f * swap(b, b.x(1), b.x(2))
+    assert p.images[b.x(1)] is f.images[b.x(2)]
+    assert p.images[b.x(2)] is f.images[b.x(1)]

@@ -1,6 +1,6 @@
 import textwrap
 
-from torellikit.certificates import check_certificate, parse_certificate
+from torellikit.certificates import MAX_RANK, check_certificate, parse_certificate
 from torellikit.lpres import krel, phi_word
 from torellikit.symwords import M, format_word, std_basis
 
@@ -113,6 +113,8 @@ def test_parse_errors():
     for text, message in (
         ("nonsense", "line 1"),
         ("certificate v1; n=9000x", "cannot parse rank"),
+        (f"certificate v1; n={MAX_RANK + 1}\nstart: 1\nexpect: 1",
+         "above the limit"),
         ("certificate v1; n=2\nexpect: 1", "missing 'start:'"),
         ("certificate v1; n=2\nstart: 1", "missing 'expect:'"),
         ("certificate v1; n=2\nstart: 1\nwat: 1\nexpect: 1", "unrecognized"),

@@ -1,8 +1,11 @@
 import hashlib
 import json
 
+from pathlib import Path
+
 import pytest
 
+from torellikit.certificates import MAX_RANK
 from torellikit.cli import main
 from torellikit.lpres import krel
 from torellikit.suites import _acts_trivially, run_suite, suite_names
@@ -150,9 +153,20 @@ def test_cli_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     not_utf8 = tmp_path / "latin1.cert"
     not_utf8.write_bytes(b"certificate v1; n=2\nstart: \xff\nexpect: 1\n")
+    bad_index = tmp_path / "index.cert"
+    bad_index.write_text("certificate v1; n=2\nstart: 1\ninsert @0: I[9]\nexpect: 1\n")
+    huge_rank = tmp_path / "rank.cert"
+    huge_rank.write_text("certificate v1; n=99999999\nstart: 1\nexpect: 1\n")
+    example = str(Path(__file__).resolve().parent.parent / "demos" / "example.cert")
     for argv, message in (
         (["certify", "--file", "/nonexistent/path.cert"], "No such file"),
         (["certify", "--file", str(not_utf8)], f"{not_utf8}: 'utf-8' codec"),
+        (["certify", "--file", str(bad_index)],
+         f"{bad_index}: line 3: x-index 9 out of range 1..2"),
+        (["certify", "--file", str(huge_rank)],
+         f"{huge_rank}: line 1: rank 99999999 above the limit {MAX_RANK}"),
+        (["certify", "--file", example, "--depth", "-1"],
+         "--depth must be at least 0"),
         (["catalog", "--dump", "rk0", "--n", "1"], "n >= 2"),
         (["verify", "--suite", "johnson", "--n", "2", "--k", "0",
           "--samples", "2"], "johnson needs k >= 1"),

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from torellikit.autos import classify, compose
+from torellikit.autos import Endo, classify, compose
 from torellikit.symwords import (
     C,
     I,
@@ -24,6 +24,7 @@ from torellikit.symwords import (
     sym_mul,
     token_inv,
 )
+from torellikit.words import _LETTERS, Word
 
 
 N = 3
@@ -112,6 +113,33 @@ def test_interpret_examples():
         assert interpret(sym_mul(w, v).tokens, B) == compose(
             interpret(w.tokens, B), interpret(v.tokens, B)
         )
+
+
+def full_compose(f, g):
+    """f * g with every image rebuilt from the raw concatenation of blocks."""
+    images = []
+    for img in g.images:
+        raw = []
+        for code, sign in img.letters:
+            block = f.images[code].letters
+            raw.extend(block if sign == 1 else [(c, -s) for c, s in reversed(block)])
+        images.append(Word(f.basis, raw))
+    return Endo(f.basis, images)
+
+
+def test_interpret_matches_a_left_fold_of_full_compositions():
+    rng = random.Random(43)
+    toks = sorted(set(signed_alphabet("S_C", N)) | set(signed_alphabet("S_K", N))
+                  | set(signed_alphabet("S_Q", N)))
+    for _ in range(300):
+        tokens = tuple(rng.choice(toks) for _ in range(rng.randint(0, 12)))
+        expect = Endo(B, B.generators())
+        for tok in tokens:
+            expect = full_compose(expect, interpret((tok,), B))
+        f = interpret(tokens, B)
+        assert f == expect
+        for img in f.images:
+            assert all(letter is _LETTERS[letter] for letter in img.letters)
 
 
 def test_interpret_carries_factorization():

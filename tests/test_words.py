@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from torellikit.words import Basis, Word, commutator, conjugate, is_conjugate, mul
+from torellikit.words import (
+    _LETTERS,
+    Basis,
+    Word,
+    _reduce,
+    commutator,
+    conjugate,
+    is_conjugate,
+    mul,
+)
 
 
 B21 = Basis(2, 1)
@@ -100,3 +109,49 @@ def test_parse_errors():
         B21.word("x1^2")
     with pytest.raises(ValueError):
         Basis(0, 0)
+
+
+def raw_inverse(letters):
+    return tuple((c, -s) for c, s in reversed(letters))
+
+
+def all_shared(word):
+    """Every letter is the one shared tuple for its (code, sign)."""
+    return all(letter is _LETTERS[letter] for letter in word.letters)
+
+
+def test_mul_and_inv_equal_reduce_of_concatenation():
+    rng = random.Random(31)
+    empty = B21.word("")
+    for _ in range(3000):
+        u = rand_word(B21, rng)
+        # partners that cancel nothing, part of u, all of u, or are empty
+        v = rng.choice((
+            rand_word(B21, rng),
+            u.inv() * rand_word(B21, rng, 3),
+            Word(B21, raw_inverse(u.letters[rng.randint(0, len(u)):])),
+            u.inv(),
+            empty,
+        ))
+        for left, right in ((u, v), (v, u), (u, empty), (empty, u)):
+            prod = left * right
+            assert prod.letters == _reduce(left.letters + right.letters)
+            assert all_shared(prod)
+        inverse = u.inv()
+        assert inverse.letters == _reduce(raw_inverse(u.letters))
+        assert all_shared(inverse)
+        assert (u * inverse).letters == ()
+
+
+def test_public_constructor_shares_letters():
+    rng = random.Random(37)
+    for _ in range(200):
+        letters = [
+            [rng.randrange(B21.size), rng.choice((1, -1))]
+            for _ in range(rng.randint(0, 8))
+        ]
+        w = Word(B21, letters)
+        assert w.letters == _reduce(tuple(map(tuple, letters)))
+        assert all_shared(w)
+    with pytest.raises(ValueError):
+        Word(B21, [(0, 2)])
