@@ -206,7 +206,7 @@ def transvection(basis: Basis, z: int, alpha: int, v: Word) -> Endo:
         raise ValueError("v over the wrong basis")
     if v.mentions(z):
         raise ValueError(f"transvection word mentions {basis.gen_name(z)}")
-    images = list(basis.generators())
+    images = list(identity(basis).images)
     zword = images[z]
     images[z] = v * zword if alpha == 1 else zword * v.inv()
     return Endo(basis, images, (("M", z, alpha, v.letters),))
@@ -218,7 +218,7 @@ def conjugation(basis: Basis, z: int, zp: int, gamma: int = 1) -> Endo:
         raise ValueError("conjugation needs distinct generators")
     if gamma not in (1, -1):
         raise ValueError("gamma must be +-1")
-    images = list(basis.generators())
+    images = list(identity(basis).images)
     conj = Word(basis, ((zp, gamma),))
     images[z] = conj * images[z] * conj.inv()
     return Endo(basis, images, (("C", z, zp, gamma),))
@@ -230,7 +230,7 @@ def swap(basis: Basis, a: int, b: int) -> Endo:
         raise ValueError("swap needs distinct generators")
     if not (basis.is_x(a) and basis.is_x(b)):
         raise ValueError("swap acts on x-generators")
-    images = list(basis.generators())
+    images = list(identity(basis).images)
     images[a], images[b] = images[b], images[a]
     return Endo(basis, images, (("P", min(a, b), max(a, b)),))
 
@@ -239,7 +239,7 @@ def inversion(basis: Basis, a: int) -> Endo:
     """Send x_a to its inverse, fixing the other generators."""
     if not basis.is_x(a):
         raise ValueError("inversion acts on x-generators")
-    images = list(basis.generators())
+    images = list(identity(basis).images)
     images[a] = images[a].inv()
     return Endo(basis, images, (("I", a),))
 

@@ -17,14 +17,18 @@ expected one, and cross-checks that start and expected word interpret to
 the same automorphism.
 
 The rank in the header is at most ``MAX_RANK``; a larger one is a parse
-error.  The rank sets the cost of checking an insertion that is not an
-inverse pair: the search enumerates every seed relation instance (98, 918,
-3852, 25470 and 91448 of them at n = 2, 3, 4, 6 and 8), and at ``depth``
-d also the images of each under every word of d letters from the signed
-quotient alphabet (36, 66, 153 and 276 letters at n = 3, 4, 6 and 8).  On
-a 2-core x86-64 machine with CPython 3.11, rejecting one non-relator took
-0.15 s at depth 0 and 6 s at depth 1 for n = 4, 2.3 s at depth 0 for
-n = 8, and 75 s at depth 1 for n = 6.
+error.  ``torellikit certify`` takes a depth of at most ``MAX_DEPTH``.
+The rank and the depth set the cost of checking an insertion that is not
+an inverse pair: the search enumerates every seed relation instance (98,
+918, 3852, 25470 and 91448 of them at n = 2, 3, 4, 6 and 8), and at
+``depth`` d also the images of each under every word of d letters from the
+signed quotient alphabet (36, 66, 153 and 276 letters at n = 3, 4, 6 and
+8), so each level multiplies the search by that alphabet.  On a 2-core
+x86-64 machine with CPython 3.11, rejecting one non-relator took 0.15 s at
+depth 0 and 6 s at depth 1 for n = 4, 2.3 s at depth 0 for n = 8, 75 s at
+depth 1 for n = 6, and 0.06 s, 0.75 s at depths 1, 2 for n = 2 and 1.1 s,
+52 s at depths 1, 2 for n = 3; depth 3 at n = 3 would take about 36 times
+as long again.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ class CertificateError(ValueError):
 
 
 MAX_RANK = 8
+MAX_DEPTH = 2
 
 
 def parse_certificate(text: str) -> Certificate:

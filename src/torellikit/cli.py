@@ -43,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     certify = sub.add_parser("certify", help="check a reduction certificate")
     certify.add_argument("--file", required=True)
     certify.add_argument("--depth", type=int, default=1,
-                         help="substitution depth for relator recognition")
+                         help="substitution depth for relator recognition "
+                         f"(0 to {certificates.MAX_DEPTH})")
     return parser
 
 
@@ -83,6 +84,10 @@ def main(argv=None) -> int:
         if args.depth < 0:
             print(f"error: --depth must be at least 0, got {args.depth}",
                   file=sys.stderr)
+            return 2
+        if args.depth > certificates.MAX_DEPTH:
+            print(f"error: --depth must be at most {certificates.MAX_DEPTH}, "
+                  f"got {args.depth}", file=sys.stderr)
             return 2
         try:
             with open(args.file, "r", encoding="utf-8") as fh:

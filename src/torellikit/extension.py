@@ -23,7 +23,7 @@ from typing import Callable
 from . import autos
 from .semidirect import QElement, semi_inv, semi_mul
 from .symwords import interpret, is_generator, std_basis, token_inv
-from .twisted import interpret_aut, iota1, iota2, lambda_bar
+from .twisted import _neg, interpret_aut, iota1, iota2, lambda_bar
 from .words import Basis
 
 
@@ -83,16 +83,15 @@ def birman_ext(n: int, corrupt_gamma=None) -> ExtGroup:
     big = std_basis(n)
 
     def phi(q: QElement, k: autos.Endo) -> autos.Endo:
-        conj = iota2(q.z, n) * iota1(q.a, n)
-        return conj * k * conj.inverse()
+        A = iota1(q.a, n)
+        return iota2(q.z, n) * A * k * (A.inverse() * iota2(_neg(q.z), n))
 
     def phi_inv(q: QElement, k: autos.Endo) -> autos.Endo:
-        conj = iota2(q.z, n) * iota1(q.a, n)
-        return conj.inverse() * k * conj
+        A = iota1(q.a, n)
+        return A.inverse() * iota2(_neg(q.z), n) * k * (iota2(q.z, n) * A)
 
     def gamma(q1: QElement, q2: QElement) -> autos.Endo:
-        b1 = iota2(q1.z, n)
-        value = b1 * lambda_bar(q1.a, q2.z, n) * b1.inverse()
+        value = iota2(q1.z, n) * lambda_bar(q1.a, q2.z, n) * iota2(_neg(q1.z), n)
         if corrupt_gamma is not None and corrupt_gamma(q1, q2):
             value = value * interpret(
                 (("C", (big.x(1), 1), (big.y(1), 1)),), big

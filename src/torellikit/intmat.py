@@ -2,13 +2,11 @@
 
 Matrices are tuples of row tuples.  Equality checks elsewhere in the package
 rely on these being exact, so everything here is plain Python integers:
-Bareiss determinants, adjugate-style inverses for unimodular matrices, and
-fraction-free row reduction for ranks over Z.
+Bareiss determinants, inverses of unimodular matrices by integer row
+reduction, and fraction-free row reduction for ranks over Z.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def identity(m: int) -> tuple:
@@ -58,26 +56,40 @@ def det(mat) -> int:
 def inverse_unimodular(mat) -> tuple:
     """Inverse of an integer matrix with determinant +-1.
 
-    Gauss-Jordan over exact rationals, then converted back to integers; the
-    unimodularity check is what guarantees integrality.
+    Integer Gauss-Jordan on ``[mat | I]``: in each column, Euclid's
+    algorithm on the rows at and below the diagonal leaves one nonzero
+    entry, which is the pivot; row swaps, negations and adding integer
+    multiples of one row to another are invertible over Z, so the pivot
+    is +-1 exactly when the determinant is.  The pivot is made 1 and the
+    rest of its column cleared, which leaves the inverse on the right.
     """
-    d = det(mat)
-    if d not in (1, -1):
-        raise ValueError(f"matrix is not invertible over Z (det = {d})")
     m = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(m)]
-         for i, row in enumerate(mat)]
+    a = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(mat)]
     for col in range(m):
-        pivot = next(r for r in range(col, m) if a[r][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
+        while True:
+            rows = [r for r in range(col, m) if a[r][col]]
+            if not rows:
+                break
+            low = min(rows, key=lambda r: abs(a[r][col]))
+            a[col], a[low] = a[low], a[col]
+            if len(rows) == 1:
+                break
+            prow, p = a[col], a[col][col]
+            for r in range(col + 1, m):
+                q = a[r][col] // p
+                if q:
+                    a[r] = [x - q * y for x, y in zip(a[r], prow)]
         p = a[col][col]
-        a[col] = [x / p for x in a[col]]
+        if p not in (1, -1):
+            raise ValueError(f"matrix is not invertible over Z (det = {det(mat)})")
+        if p == -1:
+            a[col] = [-x for x in a[col]]
+        prow = a[col]
         for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = tuple(tuple(int(x) for x in row[m:]) for row in a)
-    return out
+            q = a[r][col]
+            if r != col and q:
+                a[r] = [x - q * y for x, y in zip(a[r], prow)]
+    return tuple(tuple(row[m:]) for row in a)
 
 
 def rank(rows) -> int:

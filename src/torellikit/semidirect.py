@@ -47,9 +47,6 @@ def stab_decompose(mat) -> tuple:
         raise ValueError("matrix does not stabilize the last basis vector")
     block = tuple(tuple(mat[i][j] for j in range(n)) for i in range(n))
     row = tuple(mat[n][j] for j in range(n))
-    d = intmat.det(block)
-    if d not in (1, -1):
-        raise ValueError(f"block is not invertible over Z (det = {d})")
     z = intmat.matvec(intmat.transpose(intmat.inverse_unimodular(block)), row)
     return z, block
 

@@ -407,10 +407,15 @@ _SUITES = {
     "magnus-oracle": (_suite_magnus_oracle, dict(n=3, k=2)),
 }
 
-# lower bounds on parameters, checked before a suite starts
+# lower bounds on parameters, checked before a suite starts; every suite
+# that draws samples needs one, or its sampled checks pass vacuously
 _LIMITS = {
-    "johnson": dict(k=1),
-    "stab-psi": dict(n=1),
+    "tb3": dict(samples=1),
+    "lambda-arel": dict(samples=1),
+    "extension": dict(samples=1),
+    "johnson": dict(k=1, samples=1),
+    "stab-psi": dict(n=1, samples=1),
+    "magnus-oracle": dict(samples=1),
 }
 
 

@@ -24,7 +24,7 @@ from typing import Callable
 from . import autos
 from .semidirect import aut_act_on_Zn
 from .symwords import C, M, Mc, SymWord, interpret, std_basis, token_inv
-from .words import Basis
+from .words import Basis, _inverse_letters, _word
 from .lpres import phi_word
 
 DEFAULT_SEED = 0x5EED
@@ -63,12 +63,31 @@ def iota1(f, n: int) -> autos.Endo:
 
 
 def iota2(z, n: int) -> autos.Endo:
-    """The y-transvection product M[x_1,y]^{z_1} ... M[x_n,y]^{z_n}."""
-    big = std_basis(n)
-    out = autos.identity(big)
+    """The y-transvection product M[x_1,y]^{z_1} ... M[x_n,y]^{z_n}.
+
+    Written in closed form, x_i |-> y^{z_i} x_i and y |-> y: the
+    y-transvections commute and move distinct generators.  The
+    factorization is that of the product, |z_i| atoms M[x_i, y^{sign z_i}]
+    for each i in order, so ``iota2(z, n).inverse() == iota2(-z, n)``.
+    """
+    if len(z) != n:
+        raise ValueError("vector length does not match the rank")
+    one = autos.identity(std_basis(n))
+    big = one.basis
+    images = list(one.images)
+    y_plus = images[big.y(1)].letters
+    y_minus = _inverse_letters(y_plus)
+    factors = []
     for i, zi in enumerate(z):
-        out = out * (autos.transvection(big, big.x(i + 1), 1, big.gen("y1")) ** zi)
-    return out
+        if zi:
+            y_pow = y_plus if zi > 0 else y_minus
+            images[i] = _word(big, y_pow * abs(zi) + images[i].letters)
+            factors.extend([("M", i, 1, y_pow)] * abs(zi))
+    return autos.Endo(big, images, factors)
+
+
+def _neg(z) -> tuple:
+    return tuple(-c for c in z)
 
 
 def zn_vector(tok, n: int) -> tuple:
@@ -97,7 +116,7 @@ def lambda_bar(f, z, n: int) -> autos.Endo:
     A = iota1(f, n)
     f_aut = f if isinstance(f, autos.Endo) else interpret_aut(f, n)
     moved = aut_act_on_Zn(f_aut, tuple(z))
-    return A * iota2(z, n) * A.inverse() * iota2(moved, n).inverse()
+    return A * iota2(z, n) * A.inverse() * iota2(_neg(moved), n)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +307,7 @@ def birman_data(n: int, corrupt=None) -> TwistedBilinearData:
         lam=lam,
         act_A_on_B=lambda a, b: aut_act_on_Zn(interpret_aut(a, n), b),
         act_A_on_K=lambda a, k: iota1(a, n) * k * iota1(a, n).inverse(),
-        act_B_on_K=lambda b, k: iota2(b, n) * k * iota2(b, n).inverse(),
+        act_B_on_K=lambda b, k: iota2(b, n) * k * iota2(_neg(b), n),
         mul_A=lambda a1, a2: tuple(a1) + tuple(a2),
         mul_B=lambda b1, b2: tuple(x + y for x, y in zip(b1, b2)),
         mul_K=lambda k1, k2: k1 * k2,

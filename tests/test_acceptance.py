@@ -5,6 +5,7 @@ prints a single pass/fail line; every check is exact (integer or word
 equality), tolerance zero.  Run with ``pytest tests/test_acceptance.py -v``.
 """
 
+import hashlib
 import json
 
 from torellikit.suites import run_suite
@@ -14,6 +15,25 @@ from torellikit.autos import (
     johnson_rank,
 )
 from torellikit.words import Basis
+
+
+# SHA-256 of the report JSON minus elapsed_ms, for the criteria that run
+# the twisted commutator, the extension and the y-stabilizer rebuild: any
+# change to a case id, its order, its verdict or its witness shows here
+REPORT_DIGESTS = {
+    "5a": "e4f9c01e4c4ca2640088146760febe56c30e7c3709556e93911961ba398bf97a",
+    "5b": "3803e57005a0aaaf8e26e6b136e6e56c5f1535669b22768f8fc9c38175397dee",
+    "6b": "fd4bea3c7ee75a6e7bef1b76c0c44559ed0e545dadb599e22ab1f26de2c28c94",
+    "7a": "0a5bf9d91c7efed241181fa0fece893e2c38a1ad3aec088e66f3938e296a9cbe",
+    "7b": "aedce5a75f6f897aeab2ebd02e502d14e753594f6b9a7077482db0d5704218fc",
+    "8": "b98e571990898ab5d6818f348eb1b0a033ab2aa10d22cd170f3407a7bc5fc66d",
+}
+
+
+def _digest(report):
+    data = report.to_dict()
+    data.pop("elapsed_ms", None)
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
 
 
 def _report(criterion, report):
@@ -26,6 +46,8 @@ def _report(criterion, report):
     for c in report.failures[:10]:
         print("    witness %s: %s" % (c["id"], c.get("witness", "")))
     assert ok, f"criterion {criterion} failed in suite {report.suite}"
+    if criterion in REPORT_DIGESTS:
+        assert _digest(report) == REPORT_DIGESTS[criterion], criterion
 
 
 def test_criterion_01_conjugation_table():

@@ -27,6 +27,8 @@ def test_stab_decompose_basics():
     assert stab_decompose(m) == ((1, 0), intmat.identity(2))
     with pytest.raises(ValueError):
         stab_decompose(((1, 0, 1), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(ValueError, match="det = 2"):
+        stab_decompose(((2, 0, 0), (0, 1, 0), (1, 1, 1)))
 
 
 def test_stab_decompose_is_homomorphism():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from torellikit.certificates import MAX_RANK
+from torellikit.certificates import MAX_DEPTH, MAX_RANK
 from torellikit.cli import main
 from torellikit.lpres import krel
 from torellikit.suites import _acts_trivially, run_suite, suite_names
@@ -167,10 +167,19 @@ def test_cli_usage_errors(tmp_path, capsys):
          f"{huge_rank}: line 1: rank 99999999 above the limit {MAX_RANK}"),
         (["certify", "--file", example, "--depth", "-1"],
          "--depth must be at least 0"),
+        (["certify", "--file", example, "--depth", str(MAX_DEPTH + 1)],
+         f"--depth must be at most {MAX_DEPTH}, got {MAX_DEPTH + 1}"),
         (["catalog", "--dump", "rk0", "--n", "1"], "n >= 2"),
         (["verify", "--suite", "johnson", "--n", "2", "--k", "0",
           "--samples", "2"], "johnson needs k >= 1"),
         (["verify", "--suite", "stab-psi", "--n", "0"], "stab-psi needs n >= 1"),
+        (["verify", "--suite", "extension", "--n", "2", "--samples", "-1"],
+         "extension needs samples >= 1"),
+        (["verify", "--suite", "tb3", "--samples", "-3"], "tb3 needs samples >= 1"),
+        (["verify", "--suite", "lambda-arel", "--samples", "0"],
+         "lambda-arel needs samples >= 1"),
+        (["verify", "--suite", "magnus-oracle", "--samples", "0"],
+         "magnus-oracle needs samples >= 1"),
     ):
         assert main(argv) == 2
         err = capsys.readouterr().err

@@ -1,6 +1,6 @@
 import random
 
-from torellikit.autos import classify
+from torellikit.autos import classify, identity, transvection
 from torellikit.lpres import nielsen_relators, zn_relators
 from torellikit.symwords import (
     C,
@@ -28,6 +28,7 @@ from torellikit.twisted import (
     zn_vector,
 )
 from torellikit.semidirect import aut_act_on_Zn
+from torellikit.words import _LETTERS
 
 N = 3
 B = std_basis(N)
@@ -43,6 +44,33 @@ def test_lambda_bar_degenerate_and_kernel():
         w = tuple(rng.choice(sa) for _ in range(rng.randint(0, 5)))
         z = tuple(rng.randint(-2, 2) for _ in range(N))
         assert classify(lambda_bar(w, z, N)).in_KIA
+
+
+def _iota2_by_fold(z, n):
+    """The y-transvection product as a fold of powers, the reference for
+    the closed form."""
+    big = std_basis(n)
+    out = identity(big)
+    for i, zi in enumerate(z):
+        out = out * (transvection(big, big.x(i + 1), 1, big.gen("y1")) ** zi)
+    return out
+
+
+def test_iota2_closed_form_matches_the_fold():
+    rng = random.Random(0x10A2)
+    for n in (2, 3):
+        vectors = [(0,) * n, (1,) + (-1,) * (n - 1), (-4,) + (0,) * (n - 2) + (4,)]
+        vectors += [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(40)]
+        for z in vectors:
+            neg = tuple(-c for c in z)
+            closed = iota2(z, n)
+            fold = _iota2_by_fold(z, n)
+            assert closed == fold
+            assert closed.factors == fold.factors
+            assert closed.inverse() == iota2(neg, n)
+            assert (closed * iota2(neg, n)).is_identity
+            for image in closed.images:
+                assert all(letter is _LETTERS[letter] for letter in image.letters)
 
 
 def test_lambda_gen_table_rows():
