@@ -3,8 +3,11 @@
 A certificate lists a starting word over the kernel alphabet and a sequence
 of relator insertions with positions.  The checker validates that each
 insertion is a recognized relator instance, replays the insertions with
-free reduction, and compares the outcome against the expected word --
-no search anywhere.
+free reduction, and compares the outcome against the expected word.  An
+insertion is recognized by its hash, scanned for in an array that holds
+one hash per relator of the closure and is built once per rank and level;
+each hash hit is regenerated and compared token for token, so a hash match
+alone never accepts.
 """
 
 import tempfile

@@ -160,8 +160,15 @@ def sym_inv(u: SymWord) -> SymWord:
 # alphabets (over the basis x1..xn, y; so k = 1)
 
 
+_STD_BASES: dict = {}
+
+
 def std_basis(n: int) -> Basis:
-    return Basis(n, 1)
+    """The basis x1..xn, y; one shared object per rank (Basis is frozen)."""
+    basis = _STD_BASES.get(n)
+    if basis is None:
+        basis = _STD_BASES.setdefault(n, Basis(n, 1))
+    return basis
 
 
 def alphabet(kind: str, n: int) -> list:

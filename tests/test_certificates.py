@@ -1,8 +1,18 @@
 import textwrap
+from functools import lru_cache
+from random import Random
 
+from torellikit import certificates
 from torellikit.certificates import MAX_RANK, check_certificate, parse_certificate
-from torellikit.lpres import krel, phi_word
-from torellikit.symwords import M, format_word, std_basis
+from torellikit.lpres import krel, phi_word, rk0_instances
+from torellikit.symwords import (
+    M,
+    SymWord,
+    format_word,
+    parse_word,
+    signed_alphabet,
+    std_basis,
+)
 
 
 def cert(body):
@@ -137,3 +147,113 @@ def test_parse_certificate_structure():
     assert parsed.n == 2
     assert len(parsed.steps) == 1
     assert parsed.steps[0][1] == 1
+
+
+# ---------------------------------------------------------------------------
+# the relator index against the exhaustive scan it replaced
+
+
+@lru_cache(maxsize=None)
+def _scan_closure(n, depth):
+    """Every token sequence the exhaustive scan compares an insertion with:
+    each seed instance and its inverse, then level by level the image of
+    every relator of the level below under every signed quotient letter,
+    and its inverse.  The scan accepted exactly these and the empty word."""
+    seeds = [inst.word for inst in rk0_instances(n)]
+    letters = signed_alphabet("S_Q", n)
+    found = {t for w in seeds for t in (w.tokens, w.inv().tokens)}
+    frontier = seeds
+    for _ in range(max(depth, 0)):
+        frontier = [phi_word((s,), r, n) for r in frontier for s in letters]
+        found.update(t for w in frontier for t in (w.tokens, w.inv().tokens))
+    return frozenset(found)
+
+
+def _scan_member(word, n, depth):
+    return not word.tokens or word.tokens in _scan_closure(n, depth)
+
+
+def _oracle_words(n, seed):
+    """Seeds, seeded phi-images at levels 1 and 2, random S_K words of 1 to
+    6 tokens, each with its inverse, and the empty word."""
+    rng = Random(seed)
+    basis = std_basis(n)
+    seeds = [inst.word for inst in rk0_instances(n)]
+    quotient = signed_alphabet("S_Q", n)
+    kernel = signed_alphabet("S_K", n)
+    words = list(seeds)
+    for level in (1, 2):
+        for _ in range(12):
+            u = tuple(rng.choice(quotient) for _ in range(level))
+            words.append(phi_word(u, rng.choice(seeds), n))
+    for _ in range(12):
+        words.append(SymWord(basis, tuple(
+            rng.choice(kernel) for _ in range(rng.randint(1, 6))
+        )))
+    return [SymWord(basis, ())] + [v for w in words for v in (w, w.inv())]
+
+
+def test_relator_index_agrees_with_the_exhaustive_scan():
+    for n, depths in ((2, (-1, 0, 1, 2)), (3, (-1, 0, 1))):
+        words = _oracle_words(n, seed=n)
+        for depth in depths:
+            verdicts = [
+                certificates._relator_closure_member(w, n, depth) for w in words
+            ]
+            assert verdicts == [_scan_member(w, n, depth) for w in words], (n, depth)
+            assert any(verdicts) and not all(verdicts)
+            # below depth 1 only the seeds, their inverses and 1 are accepted
+            if depth <= 0:
+                seeds = _scan_closure(n, 0)
+                assert verdicts == [not w.tokens or w.tokens in seeds for w in words]
+
+
+def test_every_position_regenerates_its_stored_hash():
+    n = 2
+    seeds = [inst.word.tokens for inst in rk0_instances(n)]
+    q = len(signed_alphabet("S_Q", n))
+    for level in (0, 1, 2):
+        hashes = certificates._level(n, level)
+        assert len(hashes) == len(seeds) * q ** level
+        for i, h in enumerate(hashes):
+            assert hash(certificates._relator_at(n, level, i)) == h, (level, i)
+
+
+def test_a_hash_match_alone_never_accepts(monkeypatch):
+    n = 2
+    word = parse_word("C[y1,x1]", std_basis(n))
+    assert not certificates._relator_closure_member(word, n, 1)
+    for level in (0, 1):
+        planted = certificates._level(n, level)[:]
+        planted[len(planted) // 2] = hash(word.tokens)
+        monkeypatch.setitem(certificates._INDEX, (n, level), planted)
+        assert not certificates._relator_closure_member(word, n, 1)
+        assert not certificates._relator_closure_member(word.inv(), n, 1)
+
+
+def test_the_index_is_built_once_per_rank_and_level(monkeypatch):
+    calls = {"phi_word": 0, "rk0_instances": 0}
+
+    def counted(name):
+        original = getattr(certificates, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(certificates, "_RANKS", {})
+    monkeypatch.setattr(certificates, "_INDEX", {})
+    for name in calls:
+        monkeypatch.setattr(certificates, name, counted(name))
+    reject = cert("""
+        certificate v1; n=2
+        start: 1
+        insert @0: C[y1,x1]
+        expect: C[y1,x1]
+    """)
+    assert not check_certificate(reject, depth=1).ok
+    assert calls == {"phi_word": 98 * 15, "rk0_instances": 1}
+    calls.update(phi_word=0, rk0_instances=0)
+    assert not check_certificate(reject, depth=1).ok
+    assert calls == {"phi_word": 0, "rk0_instances": 0}

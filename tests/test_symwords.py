@@ -24,7 +24,7 @@ from torellikit.symwords import (
     sym_mul,
     token_inv,
 )
-from torellikit.words import _LETTERS, Word
+from torellikit.words import _LETTERS, Basis, Word
 
 
 N = 3
@@ -39,6 +39,12 @@ def test_alphabet_counts():
     assert len(alphabet("S_Q", 2)) == 7 + 2
     with pytest.raises(ValueError):
         alphabet("S_K", 1)
+
+
+def test_std_basis_is_shared_per_rank():
+    assert std_basis(3) is std_basis(3)
+    assert std_basis(2) is not std_basis(3)
+    assert std_basis(3) == Basis(3, 1)
 
 
 def test_inverse_conventions():
