@@ -10,6 +10,7 @@ each hash hit is regenerated and compared token for token, so a hash match
 alone never accepts.
 """
 
+import os
 import tempfile
 
 from torellikit.certificates import check_certificate, check_certificate_file
@@ -39,10 +40,11 @@ expect: C[y1,x1]
 print(check_certificate(bad).summary())
 print()
 
-with tempfile.NamedTemporaryFile("w", suffix=".cert", delete=False) as fh:
-    fh.write(good)
-    path = fh.name
-print("from file:", check_certificate_file(path).summary())
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "good.cert")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(good)
+    print("from file:", check_certificate_file(path).summary())
 print()
-print("the same check is available on the command line:")
-print(f"  torellikit certify --file {path}")
+print("the command line checks a certificate file the same way:")
+print("  torellikit certify --file demos/example.cert")

@@ -17,7 +17,7 @@ The package provides, from the bottom up:
   toolchain.
 """
 
-from .words import Basis, Word, commutator, conjugate, inv, is_conjugate, mul
+from .words import Basis, Word, commutator, conjugate, is_conjugate
 from .autos import (
     Endo,
     classify,
@@ -47,14 +47,12 @@ __all__ = [
     "conjugation",
     "expected_johnson_rank",
     "identity",
-    "inv",
     "inversion",
     "is_conjugate",
     "johnson",
     "johnson_basis_generators",
     "johnson_rank",
     "lambda2_projection",
-    "mul",
     "swap",
     "torelli_kernel_generators",
     "transvection",

@@ -66,8 +66,12 @@ def main(argv=None) -> int:
             return 2
         text = report.to_json() if args.format == "json" else report.to_text()
         if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            try:
+                with open(args.report, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
         print(text)
         return 0 if report.passed else 1
 

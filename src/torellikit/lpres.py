@@ -11,11 +11,17 @@ interpretation turns it into conjugation:
 Rule resolution order: swap/inversion relabeling, then the fixed cases,
 then the explicit rewrite rows.  A totality audit asserts every (s, t)
 shape resolves exactly once.
+
+The side conditions of the ten seed relation families live only in
+``krel``: ``rk0_instances`` runs every family over its full parameter
+domain and keeps what ``krel`` accepts.  Catalog order is part of the
+contract, since certificates locate relators by their position in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations, product
 from typing import Iterator
 
 from .symwords import (
@@ -31,6 +37,7 @@ from .symwords import (
     signed_alphabet,
     std_basis,
     token_inv,
+    tokens_inv,
 )
 from .words import Basis
 
@@ -47,6 +54,8 @@ def _relabel(tok, perm_sign):
         return (new, sign * flip)
 
     tag = tok[0]
+    if tag == "M":
+        return ("M", letter(tok[1]), letter(tok[2]))
     if tag == "C":
         (u, _), w = tok[1], tok[2]
         nu, _ = perm_sign(u)
@@ -78,35 +87,25 @@ def _perm_of(s):
     return perm
 
 
-_PHI_CACHE: dict = {}
-
-
 def phi_gen(s, t, n: int) -> tuple:
     """Image of the kernel generator ``t`` under the rule for ``s``.
 
     ``s`` is a token of S_Q or an inverse of one; ``t`` must be a generator
-    (not an inverse) of S_K.  Returns the image as a token tuple.
+    (not an inverse) of S_K.  Returns the image as a token tuple.  Not
+    cached: ``phi_apply`` keeps every signed image per ``(n, s)``.
     """
-    key = (n, s, t)
-    cached = _PHI_CACHE.get(key)
-    if cached is not None:
-        return cached
     if not is_generator(t, "S_K", n):
         raise ValueError(f"not an S_K generator: {t!r}")
     tag = s[0]
     if tag in ("P", "I"):
-        out = (_relabel(t, _perm_of(s)),)
-    elif tag == "M":
-        y = std_basis(n).y(1)
-        (a, alpha), (v, vs) = s[1], s[2]
-        if v == y:
-            out = _phi_m_xy(a, alpha, vs, t, y)
-        else:
-            out = _phi_m_xx(a, alpha, v, vs, t, y)
-    else:
+        return (_relabel(t, _perm_of(s)),)
+    if tag != "M":
         raise ValueError(f"not an S_Q token: {s!r}")
-    _PHI_CACHE[key] = out
-    return out
+    y = std_basis(n).y(1)
+    (a, alpha), (v, vs) = s[1], s[2]
+    if v == y:
+        return _phi_m_xy(a, alpha, vs, t, y)
+    return _phi_m_xx(a, alpha, v, vs, t, y)
 
 
 def _phi_m_xy(a, alpha, eps, t, y):
@@ -140,9 +139,7 @@ def _phi_m_xx(a, alpha, b, beta, t, y):
         if u == y:
             if w == a:
                 word = (C(y, a, alpha), C(y, b, beta))
-                if alpha == 1:
-                    return word
-                return tuple(token_inv(x) for x in reversed(word))
+                return word if alpha == 1 else tokens_inv(word)
             return (t,)  # C[y, x_b] and C[y, x_c] are fixed
         if u == a:
             return (C(a, y), Mc(a, alpha, b, -beta, y, 1))
@@ -227,11 +224,19 @@ def _phi_m_xx(a, alpha, b, beta, t, y):
 _PHI_SIGNED: dict = {}
 
 
-def _phi_signed(s, tok, n: int) -> tuple:
+def _phi_signed(table, s, tok, n: int) -> tuple:
+    """Enter the image of ``tok`` in the table and return it.  An inverse
+    gets the inverse of its generator's image, which is entered too, so
+    ``phi_gen`` runs once per ``(n, s, t)``."""
     if is_generator(tok, "S_K", n):
-        return phi_gen(s, tok, n)
-    image = phi_gen(s, token_inv(tok), n)
-    return tuple(token_inv(x) for x in reversed(image))
+        image = table[tok] = phi_gen(s, tok, n)
+        return image
+    gen = token_inv(tok)
+    image = table.get(gen)
+    if image is None:
+        image = table[gen] = phi_gen(s, gen, n)
+    image = table[tok] = tokens_inv(image)
+    return image
 
 
 def phi_apply(s, word, n: int):
@@ -246,7 +251,7 @@ def phi_apply(s, word, n: int):
     for tok in word:
         image = table.get(tok)
         if image is None:
-            image = table[tok] = _phi_signed(s, tok, n)
+            image = _phi_signed(table, s, tok, n)
         out.extend(image)
     return tuple(out)
 
@@ -281,49 +286,45 @@ def audit_phi_totality(n: int) -> int:
 # seed relations of the L-presentation (the ten kernel relation families)
 
 
-def krel(index: int, n: int, **params) -> SymWord | None:
+def _comm(t1, t2):
+    return (t1, t2, token_inv(t1), token_inv(t2))
+
+
+def _eq(lhs, rhs):
+    """The relator ``lhs * rhs^-1`` of the equation ``lhs = rhs``."""
+    return tuple(lhs) + tokens_inv(rhs)
+
+
+def krel(index: int, n: int, *, a=None, b=None, c=None, d=None,
+         alpha=1, beta=1, gamma=1, delta=1, eps=1) -> SymWord | None:
     """Instance of kernel relation family 1..10, as a relator word.
 
     Returns None when the supplied parameters violate the family's side
     conditions (the "invalid marker").  Parameters are 1-based x-indices
     ``a, b, c, d`` and signs ``alpha, beta, gamma, delta, eps``.
     """
-    basis = std_basis(n)
-    y = basis.y(1)
-    get = params.get
-
-    def x(name):
-        idx = get(name)
-        return None if idx is None else basis.x(idx)
-
-    a, b, c, d = x("a"), x("b"), x("c"), x("d")
-    alpha, beta = get("alpha", 1), get("beta", 1)
-    gamma, delta, eps = get("gamma", 1), get("delta", 1), get("eps", 1)
-
-    def word(tokens):
-        return SymWord(basis, tuple(tokens))
-
-    def comm(t1, t2):
-        return (t1, t2, token_inv(t1), token_inv(t2))
-
-    if index == 1:
-        if a == b:
-            return None
-        return word(comm(C(a, y), C(b, y)))
+    if not 1 <= index <= 10:
+        raise ValueError(f"relation family index {index} out of range 1..10")
+    # the side conditions of all ten families
     if index == 2:
-        # [Mc[x_a^alpha, y^eps, x_c^gamma], Mc[x_b^beta, y, x_d^delta]] with
-        # x_a^alpha != x_b^beta, a != d, b != c; a == b or c == d allowed.
-        if a == c or b == d or a == d or b == c:
+        # x_a^alpha != x_b^beta, a != d, b != c; a == b or c == d allowed
+        if a == c or b == d or a == d or b == c or (a == b and alpha == beta):
             return None
-        if a == b and alpha == beta:
-            return None
-        return word(comm(Mc(a, alpha, y, eps, c, gamma), Mc(b, beta, y, 1, d, delta)))
-    if index == 3:
-        if a in (b, c) or b == c:
-            return None
-        return word(comm(C(a, y), Mc(b, beta, y, eps, c, gamma)))
-    if a == b or a is None or b is None:
+    elif a is None or b is None or a == b:
         return None
+    elif (index == 3 or index >= 8) and (c is None or c in (a, b)):
+        return None
+    basis = std_basis(n)
+    a, b, c, d = [None if i is None else basis.x(i) for i in (a, b, c, d)]
+    y = basis.y(1)
+    if index == 1:
+        return SymWord(basis, _comm(C(a, y), C(b, y)))
+    if index == 2:
+        # [Mc[x_a^alpha, y^eps, x_c^gamma], Mc[x_b^beta, y, x_d^delta]]
+        t1, t2 = Mc(a, alpha, y, eps, c, gamma), Mc(b, beta, y, 1, d, delta)
+        return SymWord(basis, _comm(t1, t2))
+    if index == 3:
+        return SymWord(basis, _comm(C(a, y), Mc(b, beta, y, eps, c, gamma)))
     t_abe = Mc(a, alpha, y, eps, b, beta)
     if index == 4:
         lhs = (C(y, b, -beta), t_abe, C(y, b, beta))
@@ -337,38 +338,32 @@ def krel(index: int, n: int, **params) -> SymWord | None:
     elif index == 7:
         lhs = (t_abe, Mc(a, -alpha, y, eps, b, beta))
         rhs = (C(y, b, beta), C(a, y, -eps), C(y, b, -beta), C(a, y, eps))
-    elif index in (8, 9, 10):
-        if c is None or c in (a, b):
-            return None
-        if index == 8:
-            lhs = (Mc(b, beta, y, -eps, c, gamma), t_abe, Mc(b, beta, c, gamma, y, -eps))
-            rhs = (Mc(a, alpha, c, gamma, y, -eps), t_abe, Mc(a, alpha, c, gamma, y, eps))
-        elif index == 9:
-            lhs = (C(b, y, -eps), C(y, c, gamma), t_abe, C(y, c, -gamma), C(b, y, eps))
-            rhs = (
-                Mc(a, alpha, b, beta, y, -eps),
-                C(y, c, gamma),
-                t_abe,
-                C(y, c, -gamma),
-                Mc(a, alpha, y, eps, c, gamma),
-                Mc(a, alpha, b, beta, y, eps),
-                Mc(a, alpha, c, gamma, y, eps),
-            )
-        else:
-            lhs = (C(c, y, -eps), C(y, c, gamma), t_abe, C(y, c, -gamma), C(c, y, eps))
-            rhs = (
-                Mc(a, alpha, y, -eps, b, beta),
-                Mc(a, alpha, c, gamma, y, -eps),
-                C(y, c, gamma),
-                Mc(a, alpha, b, beta, y, -eps),
-                C(y, c, -gamma),
-                t_abe,
-                Mc(a, alpha, y, -eps, c, gamma),
-            )
+    elif index == 8:
+        lhs = (Mc(b, beta, y, -eps, c, gamma), t_abe, Mc(b, beta, c, gamma, y, -eps))
+        rhs = (Mc(a, alpha, c, gamma, y, -eps), t_abe, Mc(a, alpha, c, gamma, y, eps))
+    elif index == 9:
+        lhs = (C(b, y, -eps), C(y, c, gamma), t_abe, C(y, c, -gamma), C(b, y, eps))
+        rhs = (
+            Mc(a, alpha, b, beta, y, -eps),
+            C(y, c, gamma),
+            t_abe,
+            C(y, c, -gamma),
+            Mc(a, alpha, y, eps, c, gamma),
+            Mc(a, alpha, b, beta, y, eps),
+            Mc(a, alpha, c, gamma, y, eps),
+        )
     else:
-        raise ValueError(f"relation family index {index} out of range 1..10")
-    rhs_inv = tuple(token_inv(tk) for tk in reversed(rhs))
-    return word(lhs + rhs_inv)
+        lhs = (C(c, y, -eps), C(y, c, gamma), t_abe, C(y, c, -gamma), C(c, y, eps))
+        rhs = (
+            Mc(a, alpha, y, -eps, b, beta),
+            Mc(a, alpha, c, gamma, y, -eps),
+            C(y, c, gamma),
+            Mc(a, alpha, b, beta, y, -eps),
+            C(y, c, -gamma),
+            t_abe,
+            Mc(a, alpha, y, -eps, c, gamma),
+        )
+    return SymWord(basis, _eq(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +386,6 @@ class RelationInstance:
 
 def _inst(family, params, basis, tokens) -> RelationInstance:
     return RelationInstance(family, tuple(params), SymWord(basis, tuple(tokens)))
-
-
-def _comm(t1, t2):
-    return (t1, t2, token_inv(t1), token_inv(t2))
-
-
-def _eq(lhs, rhs):
-    return tuple(lhs) + tuple(token_inv(t) for t in reversed(rhs))
 
 
 def nielsen_relators(n: int) -> Iterator[RelationInstance]:
@@ -440,31 +427,16 @@ def nielsen_relators(n: int) -> Iterator[RelationInstance]:
                     continue
                 yield _inst("N1.swapinvcomm", (p, q, r), b, _comm(P(p, q), I(r)))
     # N2: conjugating transvections by swaps and inversions
-    for p, q in pairs():
-        if p > q:
-            continue
-        perm = _perm_of(P(p, q))
+    moves = [(P(p, q), "N2.swap", (p, q)) for p, q in pairs() if p < q]
+    moves += [(I(p), "N2.inv", (p,)) for p in xs]
+    for sigma, family, head in moves:
+        perm = _perm_of(sigma)
         for cgen, dgen in pairs():
             for g in signs:
                 tv = M(cgen, g, dgen)
-                nc, fc = perm(cgen)
-                nd, fd = perm(dgen)
-                rhs = ("M", (nc, g * fc), (nd, fd))
                 yield _inst(
-                    "N2.swap", (p, q, cgen, g, dgen), b,
-                    _eq((P(p, q), tv, P(p, q)), (rhs,)),
-                )
-    for p in xs:
-        perm = _perm_of(I(p))
-        for cgen, dgen in pairs():
-            for g in signs:
-                tv = M(cgen, g, dgen)
-                nc, fc = perm(cgen)
-                nd, fd = perm(dgen)
-                rhs = ("M", (nc, g * fc), (nd, fd))
-                yield _inst(
-                    "N2.inv", (p, cgen, g, dgen), b,
-                    _eq((I(p), tv, I(p)), (rhs,)),
+                    family, head + (cgen, g, dgen), b,
+                    _eq((sigma, tv, sigma), (_relabel(tv, perm),)),
                 )
     # N3.  The signed-permutation side depends on the relative sign: the
     # composite equals I_b * P when alpha == beta and P * I_b otherwise
@@ -521,78 +493,29 @@ def zn_relators(n: int) -> Iterator[RelationInstance]:
             )
 
 
+# Each seed family group with its parameter names, in enumeration order.
+# One-letter names run over x-indices 1..n, the others over the signs.
+_RK0_PARAMS = (
+    ((1,), "a b"),
+    ((2,), "a c b d alpha gamma eps beta delta"),
+    ((3,), "a b c beta eps gamma"),
+    ((4, 5, 6, 7), "a b alpha beta eps"),
+    ((8, 9, 10), "a b c alpha beta gamma eps"),
+)
+
+
 def rk0_instances(n: int) -> Iterator[RelationInstance]:
     """Every instance of the ten seed relation families at rank n,
     including the permitted non-generic coincidences."""
-    signs = (1, -1)
-    idxs = range(1, n + 1)
-
-    def emit(index, **params):
-        w = krel(index, n, **params)
-        if w is not None:
-            return RelationInstance(
-                f"R{index}", tuple(sorted(params.items())), w
-            )
-        return None
-
-    for a in idxs:
-        for bb in idxs:
-            if a != bb:
-                out = emit(1, a=a, b=bb)
-                if out:
-                    yield out
-    for a in idxs:
-        for c in idxs:
-            for bb in idxs:
-                for d in idxs:
-                    for alpha in signs:
-                        for gamma in signs:
-                            for eps in signs:
-                                for beta in signs:
-                                    for delta in signs:
-                                        out = emit(
-                                            2, a=a, b=bb, c=c, d=d,
-                                            alpha=alpha, beta=beta, gamma=gamma,
-                                            delta=delta, eps=eps,
-                                        )
-                                        if out:
-                                            yield out
-    for a in idxs:
-        for bb in idxs:
-            for c in idxs:
-                for beta in signs:
-                    for eps in signs:
-                        for gamma in signs:
-                            out = emit(3, a=a, b=bb, c=c, beta=beta, eps=eps, gamma=gamma)
-                            if out:
-                                yield out
-    for index in (4, 5, 6, 7):
-        for a in idxs:
-            for bb in idxs:
-                if a == bb:
-                    continue
-                for alpha in signs:
-                    for beta in signs:
-                        for eps in signs:
-                            out = emit(index, a=a, b=bb, alpha=alpha, beta=beta, eps=eps)
-                            if out:
-                                yield out
-    for index in (8, 9, 10):
-        for a in idxs:
-            for bb in idxs:
-                for c in idxs:
-                    if len({a, bb, c}) != 3:
-                        continue
-                    for alpha in signs:
-                        for beta in signs:
-                            for gamma in signs:
-                                for eps in signs:
-                                    out = emit(
-                                        index, a=a, b=bb, c=c,
-                                        alpha=alpha, beta=beta, gamma=gamma, eps=eps,
-                                    )
-                                    if out:
-                                        yield out
+    for indices, names in _RK0_PARAMS:
+        names = names.split()
+        domains = [range(1, n + 1) if len(nm) == 1 else (1, -1) for nm in names]
+        for index in indices:
+            for values in product(*domains):
+                params = dict(zip(names, values))
+                w = krel(index, n, **params)
+                if w is not None:
+                    yield RelationInstance(f"R{index}", tuple(sorted(params.items())), w)
 
 
 def jensen_wahl_relators(n: int) -> Iterator[RelationInstance]:
@@ -643,16 +566,16 @@ def jensen_wahl_relators(n: int) -> Iterator[RelationInstance]:
     for sigma, name in perms:
         perm = _perm_of(sigma)
         for c in xs:
-            nc, fc = perm(c)
+            t = C(y, c)
             yield _inst(
                 "Q3.con", (name, c), b,
-                _eq((sigma, C(y, c), sigma), (C(y, nc, fc),)),
+                _eq((sigma, t, sigma), (_relabel(t, perm),)),
             )
             for g in signs:
-                ng = g * fc
+                t = M(c, g, y)
                 yield _inst(
                     "Q3.mul", (name, c, g), b,
-                    _eq((sigma, M(c, g, y), sigma), (M(nc, ng, y),)),
+                    _eq((sigma, t, sigma), (_relabel(t, perm),)),
                 )
     # Q4
     for a in xs:
@@ -767,8 +690,6 @@ def table1_instances(n: int, k: int) -> Iterator[RelationInstance]:
     both columns of every row, for every assignment of distinct indices."""
     if n < 2 or k < 1:
         raise ValueError("the conjugation table needs n >= 2 and k >= 1")
-    from itertools import permutations
-
     b = Basis(n, k)
     for name, nx, ny, build in _t1_row_specs():
         if ny > k:
@@ -851,17 +772,14 @@ def genset_reduce(t, allowed, n: int) -> SymWord:
         if qs != rqs:
             # third-letter flip
             inner = expand(al, ps, -qs)
-            inner_inv = tuple(token_inv(x) for x in reversed(inner))
-            return (C(y, q, qs),) + inner_inv + (C(y, q, -qs),)
+            return (C(y, q, qs),) + tokens_inv(inner) + (C(y, q, -qs),)
         if ps != rps:
             # middle-letter flip
             inner = expand(al, -ps, qs)
-            inner_inv = tuple(token_inv(x) for x in reversed(inner))
-            return (C(q, y, ps),) + inner_inv + (C(q, y, -ps),)
+            return (C(q, y, ps),) + tokens_inv(inner) + (C(q, y, -ps),)
         # first-letter flip
         inner = expand(-al, ps, qs)
-        inner_inv = tuple(token_inv(x) for x in reversed(inner))
-        return inner_inv + (C(y, q, qs), C(a, y, -ps), C(y, q, -qs), C(a, y, ps))
+        return tokens_inv(inner) + (C(y, q, qs), C(a, y, -ps), C(y, q, -qs), C(a, y, ps))
 
     return SymWord(basis, expand(al, ps, qs))
 

@@ -15,22 +15,17 @@ from . import intmat
 from .autos import Endo
 
 
-def aut_act_matrix(a: Endo) -> tuple:
-    """The matrix ``(eta(a)^-1)^t`` giving the left action on Z^n."""
-    eta = a.abel_matrix()
-    return intmat.transpose(intmat.inverse_unimodular(eta))
+def gl_act_on_Zn(mat, z) -> tuple:
+    """Left action ``(mat^-1)^t z`` of a GL_n(Z) matrix on Z^n."""
+    return intmat.matvec(intmat.transpose(intmat.inverse_unimodular(mat)), tuple(z))
 
 
 def aut_act_on_Zn(a: Endo, z) -> tuple:
-    """Left action of an automorphism on an integer vector."""
+    """Left action of an automorphism on an integer vector, through its
+    abelianization matrix eta(a)."""
     if len(z) != a.basis.size:
         raise ValueError("vector length does not match the basis rank")
-    return intmat.matvec(aut_act_matrix(a), tuple(z))
-
-
-def gl_act_on_Zn(mat, z) -> tuple:
-    """Same action, directly from a GL_n(Z) matrix."""
-    return intmat.matvec(intmat.transpose(intmat.inverse_unimodular(mat)), tuple(z))
+    return gl_act_on_Zn(a.abel_matrix(), z)
 
 
 def stab_decompose(mat) -> tuple:
@@ -47,8 +42,7 @@ def stab_decompose(mat) -> tuple:
         raise ValueError("matrix does not stabilize the last basis vector")
     block = tuple(tuple(mat[i][j] for j in range(n)) for i in range(n))
     row = tuple(mat[n][j] for j in range(n))
-    z = intmat.matvec(intmat.transpose(intmat.inverse_unimodular(block)), row)
-    return z, block
+    return gl_act_on_Zn(block, row), block
 
 
 def stab_compose(z, block) -> tuple:

@@ -83,6 +83,11 @@ def token_inv(tok):
     raise ValueError(f"unknown token {tok!r}")
 
 
+def tokens_inv(tokens) -> tuple:
+    """The inverse of a token sequence: reversed, each token inverted."""
+    return tuple(token_inv(t) for t in reversed(tokens))
+
+
 def _reduce_tokens(tokens) -> tuple:
     out = []
     for tok in tokens:
@@ -130,11 +135,7 @@ class SymWord:
         return SymWord(self.basis, self.tokens + other.tokens, self.alphabet)
 
     def inv(self) -> "SymWord":
-        return SymWord(
-            self.basis,
-            tuple(token_inv(t) for t in reversed(self.tokens)),
-            self.alphabet,
-        )
+        return SymWord(self.basis, tokens_inv(self.tokens), self.alphabet)
 
     def __pow__(self, e: int) -> "SymWord":
         if e < 0:
@@ -146,14 +147,6 @@ class SymWord:
 
     def __str__(self):
         return format_word(self.tokens, self.basis)
-
-
-def sym_mul(u: SymWord, v: SymWord) -> SymWord:
-    return u * v
-
-
-def sym_inv(u: SymWord) -> SymWord:
-    return u.inv()
 
 
 # ---------------------------------------------------------------------------

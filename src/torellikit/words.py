@@ -223,20 +223,6 @@ class Word:
         return any(c == code for c, _ in self.letters)
 
 
-def mul(*words: Word) -> Word:
-    """Freely reduced product of any number of words over one basis."""
-    if not words:
-        raise ValueError("mul needs at least one word")
-    out = words[0]
-    for w in words[1:]:
-        out = out * w
-    return out
-
-
-def inv(w: Word) -> Word:
-    return w.inv()
-
-
 def commutator(u: Word, v: Word) -> Word:
     """The commutator ``u v u^-1 v^-1``."""
     return u * v * u.inv() * v.inv()

@@ -131,6 +131,40 @@ def test_catalog_dump_lines_are_machine_consumable(capsys):
             assert interpret(word.tokens, basis).is_identity
 
 
+# SHA-256 of each ``catalog --dump`` output: certificates locate relators by
+# their position in the rk0 catalog, so instance order is part of the contract
+CATALOG_DIGESTS = {
+    ("nielsen", 2, 1): "61751269553b2cc130c66d63072f76825dd41d5fec6a4c1d4926259088ce48fd",
+    ("nielsen", 3, 1): "7b925aaf41d0ea99e546ed974050a9dd88fe85f490f1837e633089e0fe3f0246",
+    ("nielsen", 4, 1): "af017c0eed058bcc906c98bf91d4a0f143fe34a7d983e930cd518ffbab60ab42",
+    ("jensen_wahl", 2, 1): "f266c3c459c35f3dd597c8294990aa008db2663f144784aa8f239864e3fb25a9",
+    ("jensen_wahl", 3, 1): "97afda8901a2d17a0349cb59efa5e9866a24fb47f97ed4b35ceed04c12cae3a2",
+    ("jensen_wahl", 4, 1): "cbf3201e404851e4424c876e5cc148456a81fff835bf19edb890d34eac8cd12a",
+    ("rk0", 2, 1): "b323fedc0353aabc8abe7677c619193b6c6da5496d7e42ec030237f1b7f4c619",
+    ("rk0", 3, 1): "8fa28547f0d6f8215397c4719fce2b8d44a19330ede907402e255912fe067533",
+    ("rk0", 4, 1): "b56f553a117d37e0dadb0f98c2f2f09c448fe95065cda884bc49e9fc01c07191",
+    ("zn", 2, 1): "9f56ec45267ff58557386c4be6cc3177d4d17ba3d63ad03558b07dff2a354739",
+    ("zn", 3, 1): "309d9792913044a23e3f79b5dc232706debc2417783602e9ae33ea1d618a4c37",
+    ("zn", 4, 1): "76c4d2c497f4aaa58fbdb144634b87c138e8ebaf3574d779338ab93d3af7f714",
+    ("table1", 2, 3): "89b30fc63cacc38fcd2bb9673c036c8c6d2f81b3a026d4aec20787c94a3bd161",
+    ("table1", 3, 3): "4f64d714b1c6a3df5e909e149789aae6e08ed80cfecaefa87766e1f3968d379d",
+    ("table1", 4, 3): "22c1f0c7f026d54489f19339cd8dbf5c769c5a1d86dc0282d9d835ba5eee5c52",
+    ("s1prime", 2, 3): "88faf00084a2c223a9199b402a15ace47de11b30a0573a40f7b170aef8e5a294",
+    ("s1prime", 3, 3): "a8dcdd40605d66c5dcee83671e383d6ee0ff119dad836e83a4d136e5fb5080e6",
+    ("s1prime", 4, 3): "cc2536bc6a0d1d33ad1161101d41a0f1c7ba6198eddac0df6938af8589f72b71",
+    ("rk0", 5, 1): "6b0e69aa53aef63e1caeae8fb7967b1313aae5c576759bc5b2fccb69c0c39345",
+}
+
+
+def test_catalog_dump_order_is_pinned(capsys):
+    digests = {}
+    for kind, n, k in CATALOG_DIGESTS:
+        assert main(["catalog", "--dump", kind, "--n", str(n), "--k", str(k)]) == 0
+        out = capsys.readouterr().out
+        digests[kind, n, k] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == CATALOG_DIGESTS
+
+
 def test_cli_certify(tmp_path, capsys):
     r = krel(1, 2, a=1, b=2)
     good = tmp_path / "good.cert"
@@ -173,6 +207,8 @@ def test_cli_usage_errors(tmp_path, capsys):
         (["verify", "--suite", "johnson", "--n", "2", "--k", "0",
           "--samples", "2"], "johnson needs k >= 1"),
         (["verify", "--suite", "stab-psi", "--n", "0"], "stab-psi needs n >= 1"),
+        (["verify", "--suite", "stab-psi", "--report", str(tmp_path / "no" / "x.json")],
+         "No such file"),
         (["verify", "--suite", "extension", "--n", "2", "--samples", "-1"],
          "extension needs samples >= 1"),
         (["verify", "--suite", "tb3", "--samples", "-3"], "tb3 needs samples >= 1"),

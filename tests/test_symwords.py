@@ -20,8 +20,6 @@ from torellikit.symwords import (
     parse_word,
     signed_alphabet,
     std_basis,
-    sym_inv,
-    sym_mul,
     token_inv,
 )
 from torellikit.words import _LETTERS, Basis, Word
@@ -58,13 +56,13 @@ def test_inverse_conventions():
 def test_word_reduction_uses_conventions():
     w = SymWord(B, (C(Y, 0), C(Y, 0, -1)))
     assert not w
-    assert sym_inv(SymWord(B, (Mc(0, 1, Y, 1, 1, 1),))).tokens == (
+    assert SymWord(B, (Mc(0, 1, Y, 1, 1, 1),)).inv().tokens == (
         ("Mc", (0, 1), (1, 1), (Y, 1)),
     )
-    assert sym_inv(SymWord(B, (P(0, 1),))).tokens == (P(0, 1),)
+    assert SymWord(B, (P(0, 1),)).inv().tokens == (P(0, 1),)
     u = SymWord(B, (C(0, Y),))
     v = SymWord(B, (C(0, Y, -1),))
-    assert not sym_mul(u, v)
+    assert not u * v
 
 
 def test_c_tokens_drop_first_sign():
@@ -114,9 +112,9 @@ def test_interpret_examples():
     toks = signed_alphabet("S_K", N)
     for _ in range(100):
         w = SymWord(B, tuple(rng.choice(toks) for _ in range(rng.randint(0, 5))))
-        assert interpret(sym_mul(w, sym_inv(w)).tokens, B).is_identity
+        assert interpret((w * w.inv()).tokens, B).is_identity
         v = SymWord(B, tuple(rng.choice(toks) for _ in range(rng.randint(0, 5))))
-        assert interpret(sym_mul(w, v).tokens, B) == compose(
+        assert interpret((w * v).tokens, B) == compose(
             interpret(w.tokens, B), interpret(v.tokens, B)
         )
 

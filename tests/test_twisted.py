@@ -21,6 +21,7 @@ from torellikit.twisted import (
     iota2,
     lambda_bar,
     lambda_gen,
+    tb3_failures,
     tb_check,
     tlambda1,
     tlambda2,
@@ -205,10 +206,16 @@ def test_tb_axioms_semantic_and_trivial():
 
 
 def test_tb3_exhaustive_and_mutation():
+    # TB3 on the S_A x S_Z grid with k over all of S_K; corrupting the map
+    # on the inversions must break it there and only there
     n = 2
     basis = std_basis(n)
     ks = [interpret((t,), basis) for t in alphabet("S_K", n)]
-    assert tb_check(birman_data(n), samples=0, k_generators=ks) == []
+    grid = [((f,), zn_vector(z, n)) for f in alphabet("S_A", n) for z in alphabet("S_Z", n)]
+
+    def failing(data):
+        return [(a, b) for a, b in grid if next(tb3_failures(data, a, b, ks), None) is not None]
+
+    assert failing(birman_data(n)) == []
     corrupted = birman_data(n, corrupt=lambda a, b: len(a) == 1 and a[0][0] == "I")
-    fails = tb_check(corrupted, samples=0, k_generators=ks)
-    assert fails and all(axiom == "TB3" for axiom, _ in fails)
+    assert failing(corrupted) == [(a, b) for a, b in grid if a[0][0] == "I"]

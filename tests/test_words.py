@@ -10,7 +10,6 @@ from torellikit.words import (
     commutator,
     conjugate,
     is_conjugate,
-    mul,
 )
 
 
@@ -42,7 +41,7 @@ def test_mul_inv_basics():
     assert not B21.word("x1") * B21.word("x1^-1")
     assert B21.word("x1 y1").inv() == B21.word("y1^-1 x1^-1")
     assert B21.word("x1 x2") * B21.word("x2^-1 y1") == B21.word("x1 y1")
-    assert mul(B21.word("x1"), B21.word("x2"), B21.word("x2^-1")) == B21.word("x1")
+    assert B21.word("x1") * B21.word("x2") * B21.word("x2^-1") == B21.word("x1")
 
 
 def test_mul_associative_inv_involution():
