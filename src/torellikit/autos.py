@@ -14,6 +14,13 @@ generator, ``f * g`` reuses ``f``'s image word.  So composing with a
 transvection, a conjugation move or an inversion builds one new image, and
 with a swap none.  Image blocks are joined with cancellation only at each
 junction, since every image is already freely reduced.
+
+Every image is built by one letter-level kernel, ``_image_letters``, which
+reads the generator images as letter tuples.  The inverse block of an
+image is built the first time a letter needs it and kept for the rest of
+the call, so a word that repeats ``x^-1`` inverts ``f(x)`` once.
+:meth:`Endo.apply`, :meth:`Endo.__mul__` and the token fold of
+:func:`torellikit.symwords.interpret` all compose through it.
 """
 
 from __future__ import annotations
@@ -31,9 +38,14 @@ from .words import _INVERSE, Basis, Word, _inverse_letters, _word, commutator
 
 
 class Endo:
-    """Endomorphism of F_{n,k} given by images of the basis generators."""
+    """Endomorphism of F_{n,k} given by images of the basis generators.
 
-    __slots__ = ("basis", "images", "factors", "_hash")
+    Two slots are filled on first use and kept, since an Endo is immutable:
+    ``_hash``, and ``_dual``, the matrix ``(eta^-1)^t`` of its action on
+    Z^{n+k} (see :func:`torellikit.semidirect.aut_act_on_Zn`).
+    """
+
+    __slots__ = ("basis", "images", "factors", "_hash", "_dual")
 
     def __init__(self, basis: Basis, images, factors=None):
         if len(images) != basis.size:
@@ -45,6 +57,7 @@ class Endo:
         self.images = tuple(images)
         self.factors = None if factors is None else tuple(factors)
         self._hash = None
+        self._dual = None
 
     def image(self, code: int) -> Word:
         return self.images[code]
@@ -52,7 +65,8 @@ class Endo:
     def apply(self, w: Word) -> Word:
         if w.basis is not self.basis and w.basis != self.basis:
             raise ValueError("word over the wrong basis")
-        return _word(self.basis, _image_letters(self.images, w.letters))
+        imgs = [img.letters for img in self.images]
+        return _word(self.basis, _image_letters(imgs, [None] * len(imgs), w.letters))
 
     def __mul__(self, other: "Endo") -> "Endo":
         """Composition, ``other`` first: ``(f * g)(w) = f(g(w))``."""
@@ -61,17 +75,23 @@ class Endo:
             raise ValueError("cannot compose over different bases")
         mine = self.images
         images = []
+        imgs = invs = None
         for w in other.images:
             letters = w.letters
             if len(letters) == 1 and letters[0][1] == 1:
                 # other sends this generator to a generator: f's image as is
                 images.append(mine[letters[0][0]])
             else:
-                images.append(_word(basis, _image_letters(mine, letters)))
+                if imgs is None:
+                    # built for the first image that needs the kernel, so a
+                    # product that only permutes generators builds nothing
+                    imgs = [img.letters for img in mine]
+                    invs = [None] * len(imgs)
+                images.append(_word(basis, _image_letters(imgs, invs, letters)))
         factors = None
         if self.factors is not None and other.factors is not None:
             factors = self.factors + other.factors
-        return Endo(basis, images, factors)
+        return _endo(basis, tuple(images), factors)
 
     def __eq__(self, other) -> bool:
         """Equality of endomorphisms = equality of all basis images.
@@ -130,20 +150,39 @@ class Endo:
     __repr__ = __str__
 
 
-def _image_letters(images, letters) -> tuple:
-    """Reduced letters of the image of a reduced word under the
-    endomorphism with generator images ``images``.
+def _endo(basis: Basis, images: tuple, factors) -> Endo:
+    """An endomorphism from a tuple of image words over ``basis`` and a
+    factor tuple or ``None``.  Internal paths build through this;
+    ``Endo(...)`` validates."""
+    f = object.__new__(Endo)
+    f.basis = basis
+    f.images = images
+    f.factors = factors
+    f._hash = None
+    f._dual = None
+    return f
 
-    Each block (an image or its inverse) is reduced, so letters cancel only
-    where a block meets the reduced prefix built so far.
+
+def _image_letters(imgs, invs, letters) -> tuple:
+    """Reduced letters of the image of a reduced word under the
+    endomorphism whose generator images have the letter tuples ``imgs``.
+
+    ``invs[code]`` is the inverse block of ``imgs[code]``, or ``None`` until
+    some letter first needs it; it is built then and kept, so a caller that
+    reuses ``invs`` builds each inverse block once per image.  Each block is
+    reduced, so letters cancel only where a block meets the reduced prefix
+    built so far.
     """
     out = []
     pop, extend = out.pop, out.extend
     inverse = _INVERSE
     for code, sign in letters:
-        block = images[code].letters
-        if sign == -1:
-            block = _inverse_letters(block)
+        if sign == 1:
+            block = imgs[code]
+        else:
+            block = invs[code]
+            if block is None:
+                block = invs[code] = _inverse_letters(imgs[code])
         k, m = 0, len(block)
         while k < m and out and out[-1] is inverse[block[k]]:
             pop()

@@ -15,17 +15,26 @@ from . import intmat
 from .autos import Endo
 
 
+def _dual(mat) -> tuple:
+    """``(mat^-1)^t`` of a GL_n(Z) matrix."""
+    return intmat.transpose(intmat.inverse_unimodular(mat))
+
+
 def gl_act_on_Zn(mat, z) -> tuple:
     """Left action ``(mat^-1)^t z`` of a GL_n(Z) matrix on Z^n."""
-    return intmat.matvec(intmat.transpose(intmat.inverse_unimodular(mat)), tuple(z))
+    return intmat.matvec(_dual(mat), tuple(z))
 
 
 def aut_act_on_Zn(a: Endo, z) -> tuple:
     """Left action of an automorphism on an integer vector, through its
-    abelianization matrix eta(a)."""
+    abelianization matrix eta(a).  The matrix ``(eta(a)^-1)^t`` is built
+    once per automorphism object and kept in its ``_dual`` slot."""
     if len(z) != a.basis.size:
         raise ValueError("vector length does not match the basis rank")
-    return gl_act_on_Zn(a.abel_matrix(), z)
+    dual = a._dual
+    if dual is None:
+        dual = a._dual = _dual(a.abel_matrix())
+    return intmat.matvec(dual, tuple(z))
 
 
 def stab_decompose(mat) -> tuple:
@@ -70,13 +79,6 @@ class QElement:
             raise ValueError("the automorphism part must carry a factorization")
 
 
-def semi_identity(n: int) -> QElement:
-    from .autos import identity
-    from .words import Basis
-
-    return QElement((0,) * n, identity(Basis(n, 0)))
-
-
 def semi_mul(q1: QElement, q2: QElement) -> QElement:
     if len(q1.z) != len(q2.z):
         raise ValueError("rank mismatch")
@@ -88,10 +90,6 @@ def semi_inv(q: QElement) -> QElement:
     a_inv = q.a.inverse()
     moved = aut_act_on_Zn(a_inv, q.z)
     return QElement(tuple(-c for c in moved), a_inv)
-
-
-def is_semi_identity(q: QElement) -> bool:
-    return not any(q.z) and q.a.is_identity
 
 
 def random_unimodular(n: int, rng, bound: int = 5, steps: int = 12) -> tuple:

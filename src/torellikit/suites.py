@@ -407,15 +407,27 @@ _SUITES = {
     "magnus-oracle": (_suite_magnus_oracle, dict(n=3, k=2)),
 }
 
-# lower bounds on parameters, checked before a suite starts; every suite
-# that draws samples needs one, or its sampled checks pass vacuously
+# lower bounds on parameters, checked before a suite starts.  Every suite
+# has one on n: the alphabets, the seed relations and the conjugation table
+# start at n = 2, and the other suites would check F_{0,k} vacuously.
+# Every suite that draws samples needs one on samples, or its sampled
+# checks pass vacuously.
 _LIMITS = {
-    "tb3": dict(samples=1),
-    "lambda-arel": dict(samples=1),
-    "extension": dict(samples=1),
-    "johnson": dict(k=1, samples=1),
+    "table1": dict(n=2),
+    "phi-conj": dict(n=2),
+    "phi-inverse-A": dict(n=2),
+    "phi-nielsen": dict(n=2),
+    "phi-inverse-Z": dict(n=2),
+    "phi-zn": dict(n=2),
+    "lambda-zrel": dict(n=2),
+    "tb3": dict(n=2, samples=1),
+    "lambda-arel": dict(n=2, samples=1),
+    "gamma-rel": dict(n=2),
+    "extension": dict(n=2, samples=1),
+    "jw-delta": dict(n=2),
+    "johnson": dict(n=1, k=1, samples=1),
     "stab-psi": dict(n=1, samples=1),
-    "magnus-oracle": dict(samples=1),
+    "magnus-oracle": dict(n=1, samples=1),
 }
 
 

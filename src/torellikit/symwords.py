@@ -18,6 +18,12 @@ the same automorphism.
 A :class:`SymWord` is a freely reduced token sequence, optionally pinned to
 one of the alphabets ``S_A``, ``S_Z``, ``S_Q``, ``S_K``, ``S_C`` (all over
 the basis ``x1..xn, y``).
+
+:func:`interpret` evaluates a token word as an automorphism by one fold
+over a list of image letter tuples, not by a product of automorphisms:
+each token rewrites only the images of the generators it moves, read from
+its entry in the token cache, and a generator's inverse block is built
+when a later token first needs it and dropped when that image changes.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import autos
-from .words import Basis, Word, commutator
+from .words import Basis, Word, _word, commutator
 
 ALPHABETS = ("S_A", "S_Z", "S_Q", "S_K", "S_C")
 
@@ -88,13 +94,22 @@ def tokens_inv(tokens) -> tuple:
     return tuple(token_inv(t) for t in reversed(tokens))
 
 
+# token -> its inverse, filled as tokens are met; the alphabets are finite
+_TOKEN_INV: dict = {}
+
+
 def _reduce_tokens(tokens) -> tuple:
     out = []
+    inverse = _TOKEN_INV
     for tok in tokens:
-        if out and out[-1] == token_inv(tok):
-            out.pop()
-        else:
-            out.append(tok)
+        if out:
+            inv = inverse.get(tok)
+            if inv is None:
+                inv = inverse[tok] = token_inv(tok)
+            if out[-1] == inv:
+                out.pop()
+                continue
+        out.append(tok)
     return tuple(out)
 
 
@@ -270,6 +285,8 @@ def signed_alphabet(kind: str, n: int) -> list:
 # ---------------------------------------------------------------------------
 # interpretation as automorphisms
 
+# (basis, token) -> (the token's automorphism, its moved images): each
+# moved image is a pair (code, letters) for a generator the token does not fix
 _ENDO_CACHE: dict = {}
 
 
@@ -278,7 +295,7 @@ def token_endo(tok, basis: Basis) -> autos.Endo:
     key = (basis, tok)
     cached = _ENDO_CACHE.get(key)
     if cached is not None:
-        return cached
+        return cached[0]
     tag = tok[0]
     if tag == "M":
         (z, zs), (v, vs) = tok[1], tok[2]
@@ -296,7 +313,9 @@ def token_endo(tok, basis: Basis) -> autos.Endo:
         f = autos.inversion(basis, tok[1])
     else:
         raise ValueError(f"unknown token {tok!r}")
-    _ENDO_CACHE[key] = f
+    moved = tuple((code, w.letters) for code, w in enumerate(f.images)
+                  if w.letters != ((code, 1),))
+    _ENDO_CACHE[key] = (f, moved)
     return f
 
 
@@ -305,13 +324,41 @@ def interpret(tokens, basis: Basis) -> autos.Endo:
 
     This is the evaluation homomorphism from symbolic words to Aut(F_{n,k});
     in particular ``interpret(u * v) = interpret(u) * interpret(v)``.
+
+    The product is folded on letter tuples (see the module docstring), and
+    one :class:`~torellikit.autos.Endo` is built at the end, whose
+    factorization is the tokens' atoms in order.  A one-token word gives
+    the token's cached automorphism itself.
     """
     if isinstance(tokens, SymWord):
         tokens = tokens.tokens
-    out = autos.identity(basis)
+    if not tokens:
+        return autos.identity(basis)
+    if len(tokens) == 1:
+        return token_endo(tokens[0], basis)
+    imgs = [w.letters for w in autos.identity(basis).images]
+    invs = [None] * len(imgs)
+    factors = []
+    image_letters = autos._image_letters
     for tok in tokens:
-        out = out * token_endo(tok, basis)
-    return out
+        entry = _ENDO_CACHE.get((basis, tok))
+        if entry is None:
+            token_endo(tok, basis)
+            entry = _ENDO_CACHE[(basis, tok)]
+        f, moved = entry
+        factors += f.factors
+        if len(moved) == 1:
+            code, letters = moved[0]
+            imgs[code] = image_letters(imgs, invs, letters)
+            invs[code] = None
+        else:
+            # a swap: both new images are read from the old ones first
+            new = [image_letters(imgs, invs, letters) for _, letters in moved]
+            for (code, _), img in zip(moved, new):
+                imgs[code] = img
+                invs[code] = None
+    images = tuple([_word(basis, letters) for letters in imgs])
+    return autos._endo(basis, images, tuple(factors))
 
 
 # ---------------------------------------------------------------------------

@@ -310,35 +310,3 @@ def birman_data(n: int, corrupt=None) -> TwistedBilinearData:
         sample_K=sample_K,
         describe=lambda a: "*".join(str(t) for t in a) or "1",
     )
-
-
-def trivial_data(rank: int = 2, modulus: int = 12) -> TwistedBilinearData:
-    """Degenerate instance: trivial actions, abelian groups, an ordinary
-    bilinear map; the axioms reduce to plain bilinearity."""
-
-    def lam(a, b):
-        return tuple(
-            sum(a[i] * b[j] for i in range(rank) for j in range(rank)) % modulus
-            for _ in range(1)
-        )
-
-    def add(u, v):
-        return tuple((x + y) % modulus for x, y in zip(u, v))
-
-    def sample(rng):
-        return tuple(rng.randrange(modulus) for _ in range(rank))
-
-    return TwistedBilinearData(
-        lam=lam,
-        act_A_on_B=lambda a, b: b,
-        act_A_on_K=lambda a, k: k,
-        act_B_on_K=lambda b, k: k,
-        mul_A=add,
-        mul_B=add,
-        mul_K=lambda k1, k2: tuple((x + y) % modulus for x, y in zip(k1, k2)),
-        inv_K=lambda k: tuple((-x) % modulus for x in k),
-        eq_K=lambda k1, k2: k1 == k2,
-        sample_A=sample,
-        sample_B=sample,
-        sample_K=lambda rng: (rng.randrange(modulus),),
-    )

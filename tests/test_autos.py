@@ -286,3 +286,22 @@ def test_compose_reuses_unmoved_images():
     p = f * swap(b, b.x(1), b.x(2))
     assert p.images[b.x(1)] is f.images[b.x(2)]
     assert p.images[b.x(2)] is f.images[b.x(1)]
+
+
+def test_apply_on_repeated_inverse_letters_equals_reduce_of_concatenation():
+    # one inverse block per generator is built and reused within a call;
+    # words that come back to the same inverse letter read it again
+    rng = random.Random(53)
+    b = Basis(3, 1)
+    for _ in range(300):
+        f = random_endo(b, rng)
+        pair = rng.sample(range(b.size), 2)
+        letters = [(rng.choice(pair), rng.choice((-1, -1, 1)))
+                   for _ in range(rng.randint(1, 14))]
+        w = Word(b, letters)
+        for word in (w, w.inv(), w * w):
+            assert f.apply(word).letters == reference_apply(f, word)
+        g = Endo(b, [w, w.inv()] + list(identity(b).images[2:]))
+        assert (f * g).images == tuple(
+            Word(b, reference_apply(f, img)) for img in g.images
+        )

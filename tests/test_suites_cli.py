@@ -221,3 +221,11 @@ def test_cli_usage_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert message in err
+    # every suite has a lowest rank; below it the suite would fail inside
+    # its alphabets or pass vacuously on F_{0,k}
+    lowest_n = {"johnson": 1, "magnus-oracle": 1, "stab-psi": 1}
+    for suite in suite_names():
+        low = lowest_n.get(suite, 2)
+        assert main(["verify", "--suite", suite, "--n", str(low - 1)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {suite} needs n >= {low}\n", err

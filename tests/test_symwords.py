@@ -4,6 +4,7 @@ import pytest
 
 from torellikit.autos import Endo, classify, compose
 from torellikit.symwords import (
+    ALPHABETS,
     C,
     I,
     M,
@@ -20,6 +21,7 @@ from torellikit.symwords import (
     parse_word,
     signed_alphabet,
     std_basis,
+    token_endo,
     token_inv,
 )
 from torellikit.words import _LETTERS, Basis, Word
@@ -120,7 +122,8 @@ def test_interpret_examples():
 
 
 def full_compose(f, g):
-    """f * g with every image rebuilt from the raw concatenation of blocks."""
+    """f * g with every image rebuilt from the raw concatenation of blocks,
+    and the factorizations concatenated."""
     images = []
     for img in g.images:
         raw = []
@@ -128,22 +131,33 @@ def full_compose(f, g):
             block = f.images[code].letters
             raw.extend(block if sign == 1 else [(c, -s) for c, s in reversed(block)])
         images.append(Word(f.basis, raw))
-    return Endo(f.basis, images)
+    factors = None
+    if f.factors is not None and g.factors is not None:
+        factors = f.factors + g.factors
+    return Endo(f.basis, images, factors)
 
 
 def test_interpret_matches_a_left_fold_of_full_compositions():
-    rng = random.Random(43)
-    toks = sorted(set(signed_alphabet("S_C", N)) | set(signed_alphabet("S_K", N))
-                  | set(signed_alphabet("S_Q", N)))
-    for _ in range(300):
-        tokens = tuple(rng.choice(toks) for _ in range(rng.randint(0, 12)))
-        expect = Endo(B, B.generators())
-        for tok in tokens:
-            expect = full_compose(expect, interpret((tok,), B))
-        f = interpret(tokens, B)
-        assert f == expect
-        for img in f.images:
-            assert all(letter is _LETTERS[letter] for letter in img.letters)
+    # every signed alphabet at two ranks, and words mixing all of them:
+    # swaps, inversions, transvections and conjugation moves, in words that
+    # reuse a changed generator's inverse right after it changed
+    for n in (3, 4):
+        b = std_basis(n)
+        alphabets = [signed_alphabet(kind, n) for kind in ALPHABETS]
+        alphabets.append(sorted(set().union(*alphabets)))
+        for index, toks in enumerate(alphabets):
+            rng = random.Random(43 + 10 * n + index)
+            for _ in range(40):
+                tokens = tuple(rng.choice(toks) for _ in range(rng.randint(0, 12)))
+                expect = Endo(b, b.generators(), ())
+                for tok in tokens:
+                    expect = full_compose(expect, token_endo(tok, b))
+                f = interpret(tokens, b)
+                assert f == expect, format_word(tokens, b)
+                assert f.factors == expect.factors
+                for img in f.images:
+                    assert all(letter is _LETTERS[letter] for letter in img.letters)
+                assert (f.inverse() * f).is_identity
 
 
 def test_interpret_carries_factorization():

@@ -14,6 +14,7 @@ from torellikit.symwords import (
     token_inv,
 )
 from torellikit.twisted import (
+    TwistedBilinearData,
     birman_data,
     canonical_zword,
     interpret_aut,
@@ -25,7 +26,6 @@ from torellikit.twisted import (
     tb_check,
     tlambda1,
     tlambda2,
-    trivial_data,
     zn_vector,
 )
 from torellikit.semidirect import aut_act_on_Zn
@@ -197,6 +197,38 @@ def test_tlambda2_matches_twisted_commutator():
 def test_canonical_zword():
     toks = canonical_zword((2, 0, -1), N)
     assert toks == (M(0, 1, Y), M(0, 1, Y), ("M", (2, 1), (Y, -1)))
+
+
+def trivial_data(rank: int = 2, modulus: int = 12) -> TwistedBilinearData:
+    """Degenerate instance: trivial actions, abelian groups, an ordinary
+    bilinear map; the axioms reduce to plain bilinearity."""
+
+    def lam(a, b):
+        return tuple(
+            sum(a[i] * b[j] for i in range(rank) for j in range(rank)) % modulus
+            for _ in range(1)
+        )
+
+    def add(u, v):
+        return tuple((x + y) % modulus for x, y in zip(u, v))
+
+    def sample(rng):
+        return tuple(rng.randrange(modulus) for _ in range(rank))
+
+    return TwistedBilinearData(
+        lam=lam,
+        act_A_on_B=lambda a, b: b,
+        act_A_on_K=lambda a, k: k,
+        act_B_on_K=lambda b, k: k,
+        mul_A=add,
+        mul_B=add,
+        mul_K=lambda k1, k2: tuple((x + y) % modulus for x, y in zip(k1, k2)),
+        inv_K=lambda k: tuple((-x) % modulus for x in k),
+        eq_K=lambda k1, k2: k1 == k2,
+        sample_A=sample,
+        sample_B=sample,
+        sample_K=lambda rng: (rng.randrange(modulus),),
+    )
 
 
 def test_tb_axioms_semantic_and_trivial():
