@@ -4,7 +4,8 @@ An :class:`Endo` stores one image word per basis generator, plus an optional
 factorization into named elementary automorphisms (transvections,
 conjugation moves, swaps, inversions).  The factorization is what makes
 inversion possible without any Whitehead-style search: each named factor
-inverts by its own rule.
+inverts by its own rule, and :meth:`Endo.inverse` folds the inverted atoms
+in reverse order.
 
 Composition convention: ``compose(f, g)`` (also ``f * g``) applies ``g``
 first, so ``(f * g)(w) = f(g(w))`` and products act on the left.
@@ -19,8 +20,12 @@ Every image is built by one letter-level kernel, ``_image_letters``, which
 reads the generator images as letter tuples.  The inverse block of an
 image is built the first time a letter needs it and kept for the rest of
 the call, so a word that repeats ``x^-1`` inverts ``f(x)`` once.
-:meth:`Endo.apply`, :meth:`Endo.__mul__` and the token fold of
-:func:`torellikit.symwords.interpret` all compose through it.
+:meth:`Endo.apply` and :meth:`Endo.__mul__` compose through it, and so does
+``_fold``, which multiplies a sequence of automorphisms given only by the
+images they move, on one list of image letter tuples.  Both
+:func:`torellikit.symwords.interpret` (the moved images of each token) and
+:meth:`Endo.inverse` (the moved images of each inverted atom, written in
+closed form from the shared letters) are that fold.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intmat
-from .words import _INVERSE, Basis, Word, _inverse_letters, _word, commutator
+from .words import _INVERSE, _LETTERS, Basis, Word, _inverse_letters, _word, commutator
 
 # Factorization atoms.  Each is a tuple:
 #   ("M", z, alpha, v_letters)  transvection M_{z^alpha, v}
@@ -40,12 +45,14 @@ from .words import _INVERSE, Basis, Word, _inverse_letters, _word, commutator
 class Endo:
     """Endomorphism of F_{n,k} given by images of the basis generators.
 
-    Two slots are filled on first use and kept, since an Endo is immutable:
-    ``_hash``, and ``_dual``, the matrix ``(eta^-1)^t`` of its action on
-    Z^{n+k} (see :func:`torellikit.semidirect.aut_act_on_Zn`).
+    Three slots are filled on first use and kept, since an Endo is
+    immutable: ``_hash``; ``_dual``, the matrix ``(eta^-1)^t`` of its action
+    on Z^{n+k} (see :func:`torellikit.semidirect.aut_act_on_Zn`); and
+    ``_inv``, the inverse :meth:`inverse` folds from the factorization.  The
+    inverse's own ``_inv`` points back, so ``f.inverse().inverse() is f``.
     """
 
-    __slots__ = ("basis", "images", "factors", "_hash", "_dual")
+    __slots__ = ("basis", "images", "factors", "_hash", "_dual", "_inv")
 
     def __init__(self, basis: Basis, images, factors=None):
         if len(images) != basis.size:
@@ -58,6 +65,7 @@ class Endo:
         self.factors = None if factors is None else tuple(factors)
         self._hash = None
         self._dual = None
+        self._inv = None
 
     def image(self, code: int) -> Word:
         return self.images[code]
@@ -117,13 +125,19 @@ class Endo:
         )
 
     def inverse(self) -> "Endo":
-        """Invert by reversing the factorization (see module docstring)."""
-        if self.factors is None:
-            raise ValueError("cannot invert an endomorphism without a factorization")
-        out = identity(self.basis)
-        for atom in reversed(self.factors):
-            out = out * _atom_endo(self.basis, _atom_inverse(self.basis, atom))
-        return out
+        """Invert by folding the inverted atoms in reverse order (see the
+        module docstring); built once and kept in ``_inv``."""
+        inv = self._inv
+        if inv is None:
+            if self.factors is None:
+                raise ValueError(
+                    "cannot invert an endomorphism without a factorization"
+                )
+            atoms = tuple([_atom_inverse(atom) for atom in reversed(self.factors)])
+            inv = _fold(self.basis, map(_atom_moves, atoms), atoms)
+            inv._inv = self
+            self._inv = inv
+        return inv
 
     def __pow__(self, e: int) -> "Endo":
         if e < 0:
@@ -160,6 +174,7 @@ def _endo(basis: Basis, images: tuple, factors) -> Endo:
     f.factors = factors
     f._hash = None
     f._dual = None
+    f._inv = None
     return f
 
 
@@ -205,31 +220,65 @@ def identity(basis: Basis) -> Endo:
     return out
 
 
-def _atom_inverse(basis: Basis, atom):
+def _fold(basis: Basis, moves, factors) -> Endo:
+    """The product ``g_1 * g_2 * ...`` of the automorphisms ``g_i`` whose
+    moved images are the entries of ``moves``, with factorization
+    ``factors``.
+
+    Each entry is a tuple of pairs ``(code, letters)``, one per generator
+    that ``g_i`` moves, with its image.  The product is kept as a list of
+    image letter tuples, and each entry rewrites only the images it moves.
+    A generator's inverse block is built when a letter first needs it and
+    dropped when its image changes.
+    """
+    imgs = [w.letters for w in identity(basis).images]
+    invs = [None] * len(imgs)
+    image_letters = _image_letters
+    for moved in moves:
+        if len(moved) == 1:
+            code, letters = moved[0]
+            imgs[code] = image_letters(imgs, invs, letters)
+            invs[code] = None
+        else:
+            # a swap: both new images are read from the old ones first
+            new = [image_letters(imgs, invs, letters) for _, letters in moved]
+            for (code, _), img in zip(moved, new):
+                imgs[code] = img
+                invs[code] = None
+    images = tuple([_word(basis, letters) for letters in imgs])
+    return _endo(basis, images, factors)
+
+
+def _atom_inverse(atom):
     tag = atom[0]
     if tag in ("P", "I"):
         return atom
     if tag == "M":
         _, z, alpha, v_letters = atom
-        v_inv = Word(basis, v_letters).inv().letters
-        return ("M", z, alpha, v_inv)
+        return ("M", z, alpha, _inverse_letters(v_letters))
     if tag == "C":
         _, z, zp, gamma = atom
         return ("C", z, zp, -gamma)
     raise ValueError(f"unknown factor atom {atom!r}")
 
 
-def _atom_endo(basis: Basis, atom) -> Endo:
+def _atom_moves(atom) -> tuple:
+    """The moved images of a factor atom, as ``_fold`` reads them, in
+    closed form from the shared letters."""
     tag = atom[0]
     if tag == "M":
         _, z, alpha, v_letters = atom
-        return transvection(basis, z, alpha, Word(basis, v_letters))
+        if alpha == 1:
+            return ((z, v_letters + (_LETTERS[(z, 1)],)),)
+        return ((z, (_LETTERS[(z, 1)],) + _inverse_letters(v_letters)),)
     if tag == "C":
         _, z, zp, gamma = atom
-        return conjugation(basis, z, zp, gamma)
+        conj = _LETTERS[(zp, gamma)]
+        return ((z, (conj, _LETTERS[(z, 1)], _INVERSE[conj])),)
     if tag == "P":
-        return swap(basis, atom[1], atom[2])
-    return inversion(basis, atom[1])
+        _, a, b = atom
+        return ((a, (_LETTERS[(b, 1)],)), (b, (_LETTERS[(a, 1)],)))
+    return ((atom[1], (_LETTERS[(atom[1], -1)],)),)
 
 
 def transvection(basis: Basis, z: int, alpha: int, v: Word) -> Endo:

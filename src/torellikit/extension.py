@@ -12,6 +12,12 @@ conjugation actions through the two splittings, and the twisted commutator
 as the bilinear map; the forward comparison map ``forward`` into
 Aut(F_{n,1}) is then a homomorphism, and rebuilding the y-stabilizer's
 presentation generator by generator (``phi_inverse_gen``) inverts it.
+
+In that model both hooks go through the lift ``L_q = iota2(z) iota1(a)``
+of a quotient element q = (z, a): ``phi(q)`` is conjugation by ``L_q``,
+and ``gamma(q1, q2) = L_q1 iota2(z2) L_q1^-1 iota2(-(a1 . z2))``.  A group
+computes each lift once per quotient element, and keeps it, with its
+inverse, for as long as that element is alive.
 """
 
 from __future__ import annotations
@@ -19,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 from typing import Callable
+from weakref import WeakKeyDictionary
 
 from . import autos
-from .semidirect import QElement, semi_inv, semi_mul
+from .semidirect import QElement, aut_act_on_Zn, semi_inv, semi_mul
 from .symwords import interpret, is_generator, std_basis, token_inv
-from .twisted import _neg, interpret_aut, iota1, iota2, lambda_bar
-from .words import Basis
+from .twisted import _twisted_commutator, aut_basis, interpret_aut, iota1, iota2
 
 
 @dataclass
@@ -40,7 +46,7 @@ class ExtGroup:
     kernel_identity: autos.Endo
 
     def identity(self) -> "ExtElement":
-        qid = QElement((0,) * self.n, autos.identity(Basis(self.n, 0)))
+        qid = QElement((0,) * self.n, autos.identity(aut_basis(self.n)))
         return ExtElement(self.kernel_identity, qid)
 
 
@@ -81,17 +87,28 @@ def birman_ext(n: int, corrupt_gamma=None) -> ExtGroup:
     predicate fires (mutation testing of the cocycle identities).
     """
     big = std_basis(n)
+    # q -> L_q (see the module docstring), for as long as q is alive
+    lifts = WeakKeyDictionary()
+
+    def lift(q: QElement) -> autos.Endo:
+        L = lifts.get(q)
+        if L is None:
+            L = lifts[q] = iota2(q.z, n) * iota1(q.a, n)
+        return L
 
     def phi(q: QElement, k: autos.Endo) -> autos.Endo:
-        A = iota1(q.a, n)
-        return iota2(q.z, n) * A * k * (A.inverse() * iota2(_neg(q.z), n))
+        L = lift(q)
+        return L * k * L.inverse()
 
     def phi_inv(q: QElement, k: autos.Endo) -> autos.Endo:
-        A = iota1(q.a, n)
-        return A.inverse() * iota2(_neg(q.z), n) * k * (iota2(q.z, n) * A)
+        L = lift(q)
+        return L.inverse() * k * L
 
     def gamma(q1: QElement, q2: QElement) -> autos.Endo:
-        value = iota2(q1.z, n) * lambda_bar(q1.a, q2.z, n) * iota2(_neg(q1.z), n)
+        # iota2(z1) lambda_bar(a1, z2) iota2(-z1), with the y-transvection
+        # iota2(-(a1 . z2)) moved past iota2(-z1): y-transvections commute
+        moved = aut_act_on_Zn(q1.a, q2.z)
+        value = _twisted_commutator(lift(q1), q2.z, moved, n)
         if corrupt_gamma is not None and corrupt_gamma(q1, q2):
             value = value * interpret(
                 (("C", (big.x(1), 1), (big.y(1), 1)),), big
@@ -177,7 +194,7 @@ def phi_inverse_gen(tok, group: ExtGroup) -> ExtElement:
     n = group.n
     big = std_basis(n)
     y = big.y(1)
-    qid = autos.identity(Basis(n, 0))
+    qid = autos.identity(aut_basis(n))
     zero = (0,) * n
     tag = tok[0]
     if tag in ("P", "I") or (tag == "M" and tok[2][0] != y):

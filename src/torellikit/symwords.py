@@ -20,10 +20,11 @@ one of the alphabets ``S_A``, ``S_Z``, ``S_Q``, ``S_K``, ``S_C`` (all over
 the basis ``x1..xn, y``).
 
 :func:`interpret` evaluates a token word as an automorphism by one fold
-over a list of image letter tuples, not by a product of automorphisms:
-each token rewrites only the images of the generators it moves, read from
-its entry in the token cache, and a generator's inverse block is built
-when a later token first needs it and dropped when that image changes.
+over a list of image letter tuples (``autos._fold``, which also inverts
+automorphisms), not by a product of automorphisms: each token rewrites
+only the images of the generators it moves, read from its entry in the
+token cache, and a generator's inverse block is built when a later token
+first needs it and dropped when that image changes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import autos
-from .words import Basis, Word, _word, commutator
+from .words import Basis, Word, commutator
 
 ALPHABETS = ("S_A", "S_Z", "S_Q", "S_K", "S_C")
 
@@ -325,10 +326,10 @@ def interpret(tokens, basis: Basis) -> autos.Endo:
     This is the evaluation homomorphism from symbolic words to Aut(F_{n,k});
     in particular ``interpret(u * v) = interpret(u) * interpret(v)``.
 
-    The product is folded on letter tuples (see the module docstring), and
-    one :class:`~torellikit.autos.Endo` is built at the end, whose
-    factorization is the tokens' atoms in order.  A one-token word gives
-    the token's cached automorphism itself.
+    The product is folded on letter tuples by ``autos._fold`` (see the
+    module docstring), and one :class:`~torellikit.autos.Endo` is built at
+    the end, whose factorization is the tokens' atoms in order.  A
+    one-token word gives the token's cached automorphism itself.
     """
     if isinstance(tokens, SymWord):
         tokens = tokens.tokens
@@ -336,29 +337,16 @@ def interpret(tokens, basis: Basis) -> autos.Endo:
         return autos.identity(basis)
     if len(tokens) == 1:
         return token_endo(tokens[0], basis)
-    imgs = [w.letters for w in autos.identity(basis).images]
-    invs = [None] * len(imgs)
+    moves = []
     factors = []
-    image_letters = autos._image_letters
     for tok in tokens:
         entry = _ENDO_CACHE.get((basis, tok))
         if entry is None:
             token_endo(tok, basis)
             entry = _ENDO_CACHE[(basis, tok)]
-        f, moved = entry
-        factors += f.factors
-        if len(moved) == 1:
-            code, letters = moved[0]
-            imgs[code] = image_letters(imgs, invs, letters)
-            invs[code] = None
-        else:
-            # a swap: both new images are read from the old ones first
-            new = [image_letters(imgs, invs, letters) for _, letters in moved]
-            for (code, _), img in zip(moved, new):
-                imgs[code] = img
-                invs[code] = None
-    images = tuple([_word(basis, letters) for letters in imgs])
-    return autos._endo(basis, images, tuple(factors))
+        factors += entry[0].factors
+        moves.append(entry[1])
+    return autos._fold(basis, moves, tuple(factors))
 
 
 # ---------------------------------------------------------------------------

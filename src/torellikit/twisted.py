@@ -34,8 +34,16 @@ DEFAULT_SEED = 0x5EED
 # the two partial splittings
 
 
+_AUT_BASES: dict = {}
+
+
 def aut_basis(n: int) -> Basis:
-    return Basis(n, 0)
+    """The basis x1..xn of F_n; one shared object per rank, as
+    :func:`~torellikit.symwords.std_basis` is."""
+    basis = _AUT_BASES.get(n)
+    if basis is None:
+        basis = _AUT_BASES.setdefault(n, Basis(n, 0))
+    return basis
 
 
 def interpret_aut(tokens, n: int) -> autos.Endo:
@@ -48,16 +56,19 @@ def interpret_aut(tokens, n: int) -> autos.Endo:
 def iota1(f, n: int) -> autos.Endo:
     """Extend an automorphism of F_n to F_{n,1}, fixing y pointwise.
 
-    Accepts an S_A token word or an Endo of F_n (whose factorization lifts
-    verbatim: the factor atoms only mention x-generators).
+    Accepts an S_A token word or an Endo of F_n.  An Endo lifts verbatim:
+    the x-codes of F_n and F_{n,1} agree, so its image letters are already
+    reduced, shared and in range, and its factor atoms only mention
+    x-generators.
     """
-    from .words import Word
-
     big = std_basis(n)
     if isinstance(f, autos.Endo):
-        images = [Word(big, f.images[code].letters) for code in range(f.basis.size)]
-        images.append(big.gen("y1"))
-        return autos.Endo(big, images, f.factors)
+        small = aut_basis(n)
+        if f.basis is not small and f.basis != small:
+            raise ValueError("not an automorphism of F_n")
+        images = [_word(big, w.letters) for w in f.images]
+        images.append(autos.identity(big).images[big.y(1)])
+        return autos._endo(big, tuple(images), f.factors)
     tokens = f.tokens if isinstance(f, SymWord) else tuple(f)
     return interpret(tokens, big)
 
@@ -83,7 +94,7 @@ def iota2(z, n: int) -> autos.Endo:
             y_pow = y_plus if zi > 0 else y_minus
             images[i] = _word(big, y_pow * abs(zi) + images[i].letters)
             factors.extend([("M", i, 1, y_pow)] * abs(zi))
-    return autos.Endo(big, images, factors)
+    return autos._endo(big, tuple(images), tuple(factors))
 
 
 def _neg(z) -> tuple:
@@ -111,12 +122,30 @@ def canonical_zword(z, n: int) -> tuple:
     return tuple(tokens)
 
 
+def _act_on_Zn(f, z, n: int) -> tuple:
+    """``f . z`` for an automorphism of F_n or an S_A token word.
+
+    A token word acts token by token, rightmost first, through each
+    token's cached automorphism, which keeps its matrix; so the word is
+    not interpreted and no matrix is inverted again.
+    """
+    if isinstance(f, autos.Endo):
+        return aut_act_on_Zn(f, tuple(z))
+    z = tuple(z)
+    for tok in reversed(f.tokens if isinstance(f, SymWord) else tuple(f)):
+        z = aut_act_on_Zn(interpret_aut((tok,), n), z)
+    return z
+
+
+def _twisted_commutator(lift: autos.Endo, z, moved, n: int) -> autos.Endo:
+    """``lift iota2(z) lift^-1 iota2(-moved)``; with ``lift = iota1(f)`` and
+    ``moved = f . z`` this is ``lambda_bar(f, z)``."""
+    return lift * iota2(z, n) * lift.inverse() * iota2(_neg(moved), n)
+
+
 def lambda_bar(f, z, n: int) -> autos.Endo:
     """The twisted commutator of the two splittings, evaluated concretely."""
-    A = iota1(f, n)
-    f_aut = f if isinstance(f, autos.Endo) else interpret_aut(f, n)
-    moved = aut_act_on_Zn(f_aut, tuple(z))
-    return A * iota2(z, n) * A.inverse() * iota2(_neg(moved), n)
+    return _twisted_commutator(iota1(f, n), z, _act_on_Zn(f, z, n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +221,7 @@ def tlambda2(w, z, n: int) -> SymWord:
         return tlambda1(w[0], canonical_zword(z, n), n)
     s, rest = w[0], w[1:]
     moved_tail = phi_word((s,), tlambda2(rest, z, n), n)
-    rest_aut = interpret_aut(rest, n)
-    return moved_tail * tlambda2((s,), aut_act_on_Zn(rest_aut, tuple(z)), n)
+    return moved_tail * tlambda2((s,), _act_on_Zn(rest, z, n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +323,14 @@ def birman_data(n: int, corrupt=None) -> TwistedBilinearData:
             word[0] = token_inv(word[0])
         return interpret(tuple(word), big)
 
+    def act_A_on_K(a, k):
+        A = iota1(a, n)
+        return A * k * A.inverse()
+
     return TwistedBilinearData(
         lam=lam,
-        act_A_on_B=lambda a, b: aut_act_on_Zn(interpret_aut(a, n), b),
-        act_A_on_K=lambda a, k: iota1(a, n) * k * iota1(a, n).inverse(),
+        act_A_on_B=lambda a, b: _act_on_Zn(a, b, n),
+        act_A_on_K=act_A_on_K,
         act_B_on_K=lambda b, k: iota2(b, n) * k * iota2(_neg(b), n),
         mul_A=lambda a1, a2: tuple(a1) + tuple(a2),
         mul_B=lambda b1, b2: tuple(x + y for x, y in zip(b1, b2)),

@@ -20,6 +20,8 @@ from torellikit.autos import (
     transvection,
     wedge,
 )
+from torellikit.symwords import std_basis
+from torellikit.twisted import iota2
 from torellikit.words import _LETTERS, Basis, Word, _reduce, commutator
 
 
@@ -305,3 +307,76 @@ def test_apply_on_repeated_inverse_letters_equals_reduce_of_concatenation():
         assert (f * g).images == tuple(
             Word(b, reference_apply(f, img)) for img in g.images
         )
+
+
+def inverse_by_products(f):
+    """The inverse as the identity times each inverted atom, rightmost
+    factor first, each built with the public constructors."""
+    b = f.basis
+    out = identity(b)
+    for atom in reversed(f.factors):
+        tag = atom[0]
+        if tag == "M":
+            _, z, alpha, v = atom
+            g = transvection(b, z, alpha, Word(b, v).inv())
+        elif tag == "C":
+            _, z, zp, gamma = atom
+            g = conjugation(b, z, zp, -gamma)
+        elif tag == "P":
+            g = swap(b, atom[1], atom[2])
+        else:
+            g = inversion(b, atom[1])
+        out = out * g
+    return out
+
+
+def random_factor(basis, rng):
+    """An automorphism of F_{n,1} named by atoms of every kind: M with a
+    one-letter, commutator or y-power word, C, P, I, or a y-transvection
+    product iota2(z) with |z_i| <= 4."""
+    xs = [basis.x(i) for i in range(1, basis.n + 1)]
+    y = basis.y(1)
+    kind = rng.choice(("M1", "Mc", "My", "C", "P", "I", "iota2"))
+    if kind == "M1":
+        z = rng.randrange(basis.size)
+        v = rng.choice([c for c in range(basis.size) if c != z])
+        v = Word(basis, ((v, rng.choice((1, -1))),))
+    elif kind == "Mc":
+        z = rng.randrange(basis.size)
+        p, q = rng.sample([c for c in range(basis.size) if c != z], 2)
+        v = commutator(Word(basis, ((p, rng.choice((1, -1))),)),
+                       Word(basis, ((q, rng.choice((1, -1))),)))
+    elif kind == "My":
+        z = rng.choice(xs)
+        v = Word(basis, ((y, rng.choice((1, -1))),) * rng.randint(1, 3))
+    elif kind == "C":
+        z, zp = rng.sample(range(basis.size), 2)
+        return conjugation(basis, z, zp, rng.choice((1, -1)))
+    elif kind == "P":
+        return swap(basis, *rng.sample(xs, 2))
+    elif kind == "I":
+        return inversion(basis, rng.choice(xs))
+    else:
+        return iota2(tuple(rng.randint(-4, 4) for _ in xs), basis.n)
+    return transvection(basis, z, rng.choice((1, -1)), v)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_inverse_fold_matches_the_product_of_inverted_atoms(n):
+    rng = random.Random(61 + n)
+    b = std_basis(n)
+    for _ in range(150):
+        f = identity(b)
+        for _ in range(rng.randint(1, 8)):
+            f = f * random_factor(b, rng)
+        inv = f.inverse()
+        ref = inverse_by_products(f)
+        assert inv.images == ref.images
+        assert inv.factors == ref.factors
+        for img in inv.images:
+            assert all(letter is _LETTERS[letter] for letter in img.letters)
+        for atom in inv.factors:
+            if atom[0] == "M":
+                assert all(letter is _LETTERS[letter] for letter in atom[3])
+        assert f.inverse() is inv and inv.inverse() is f
+        assert (f * inv).is_identity and (inv * f).is_identity

@@ -4,7 +4,9 @@ import pytest
 
 from torellikit import extension as ext
 from torellikit.lpres import jensen_wahl_relators
+from torellikit.semidirect import semi_mul
 from torellikit.symwords import alphabet, interpret, parse_token, std_basis
+from torellikit.twisted import iota1, iota2, lambda_bar
 
 N = 2
 GROUP = ext.birman_ext(N)
@@ -128,3 +130,22 @@ def test_splice_direct():
     assert ext.splice_associativity_check(T, samples=100) == []
     bad = ext.splice_direct((4,), (2,), (6,), [[(3,)]])
     assert ext.splice_associativity_check(bad, samples=100)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hooks_equal_the_formulas_from_iota1_iota2_and_lambda_bar(n):
+    # phi is conjugation by iota2(z) iota1(a), and gamma is
+    # iota2(z1) lambda_bar(a1, z2) iota2(-z1); each quotient element is
+    # met twice (and products of them too), so kept lifts are read again
+    group = ext.birman_ext(n)
+    rng = random.Random(17 + n)
+    qs = [ext.random_q(n, rng) for _ in range(8)]
+    qs += [semi_mul(qs[i], qs[i + 1]) for i in range(0, 8, 2)]
+    for _ in range(2):
+        for q1, q2 in zip(qs, qs[1:] + qs[:1]):
+            k = ext.random_kernel(n, rng)
+            A = iota1(q1.a, n)
+            up, down = iota2(q1.z, n), iota2(tuple(-c for c in q1.z), n)
+            assert group.phi(q1, k) == up * A * k * A.inverse() * down
+            assert group.phi_inv(q1, k) == A.inverse() * down * k * up * A
+            assert group.gamma(q1, q2) == up * lambda_bar(q1.a, q2.z, n) * down

@@ -15,6 +15,8 @@ from torellikit.symwords import (
 )
 from torellikit.twisted import (
     TwistedBilinearData,
+    _act_on_Zn,
+    aut_basis,
     birman_data,
     canonical_zword,
     interpret_aut,
@@ -45,6 +47,28 @@ def test_lambda_bar_degenerate_and_kernel():
         w = tuple(rng.choice(sa) for _ in range(rng.randint(0, 5)))
         z = tuple(rng.randint(-2, 2) for _ in range(N))
         assert classify(lambda_bar(w, z, N)).in_KIA
+
+
+def test_aut_basis_is_shared_and_iota1_lifts_verbatim():
+    assert aut_basis(3) is aut_basis(3)
+    rng = random.Random(0x11F7)
+    for n in (2, 3):
+        big = std_basis(n)
+        sa = signed_alphabet("S_A", n)
+        for _ in range(40):
+            w = tuple(rng.choice(sa) for _ in range(rng.randint(0, 6)))
+            f = interpret_aut(w, n)
+            assert f.basis is aut_basis(n)
+            lifted = iota1(f, n)
+            assert lifted == interpret(w, big) and lifted.basis is big
+            assert lifted.factors == interpret(w, big).factors
+            for image in lifted.images:
+                assert image.basis is big
+                assert all(letter is _LETTERS[letter] for letter in image.letters)
+            z = tuple(rng.randint(-3, 3) for _ in range(n))
+            # a token word acts token by token, an automorphism at once
+            assert _act_on_Zn(w, z, n) == aut_act_on_Zn(f, z)
+            assert lambda_bar(w, z, n) == lambda_bar(f, z, n)
 
 
 def _iota2_by_fold(z, n):
