@@ -19,7 +19,16 @@ junction, since every image is already freely reduced.
 Every image is built by one letter-level kernel, ``_image_letters``, which
 reads the generator images as letter tuples.  The inverse block of an
 image is built the first time a letter needs it and kept for the rest of
-the call, so a word that repeats ``x^-1`` inverts ``f(x)`` once.
+the call, so a word that repeats ``x^-1`` inverts ``f(x)`` once.  A
+junction where a block of more than ``words._SCAN`` (32) letters cancels
+is measured in one C-level scan, ``words._cancelled``: the prefix built so
+far, read backwards, against the block's inverse read backwards.  That
+inverse is ``f(x)`` itself for a letter ``x^-1`` and the kept inverse
+block for ``x``.  The cancelled letters are then cut off in one slice.
+Exact images in the extension grow to about 10^5 letters, and a few
+junctions there cancel thousands of letters each; shorter blocks pop
+their cancelled letters one at a time, which costs less than starting
+the scan.
 :meth:`Endo.apply` and :meth:`Endo.__mul__` compose through it, and so does
 ``_fold``, which multiplies a sequence of automorphisms given only by the
 images they move, on one list of image letter tuples.  Both
@@ -33,7 +42,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intmat
-from .words import _INVERSE, _LETTERS, Basis, Word, _inverse_letters, _word, commutator
+from .words import (
+    _INVERSE,
+    _LETTERS,
+    _SCAN,
+    Basis,
+    Word,
+    _cancelled,
+    _inverse_letters,
+    _word,
+    commutator,
+)
 
 # Factorization atoms.  Each is a tuple:
 #   ("M", z, alpha, v_letters)  transvection M_{z^alpha, v}
@@ -186,11 +205,12 @@ def _image_letters(imgs, invs, letters) -> tuple:
     some letter first needs it; it is built then and kept, so a caller that
     reuses ``invs`` builds each inverse block once per image.  Each block is
     reduced, so letters cancel only where a block meets the reduced prefix
-    built so far.
+    built so far: letter by letter for a short block, in one scan for a
+    long one (see the module docstring).
     """
     out = []
     pop, extend = out.pop, out.extend
-    inverse = _INVERSE
+    inverse, scan = _INVERSE, _SCAN
     for code, sign in letters:
         if sign == 1:
             block = imgs[code]
@@ -198,11 +218,25 @@ def _image_letters(imgs, invs, letters) -> tuple:
             block = invs[code]
             if block is None:
                 block = invs[code] = _inverse_letters(imgs[code])
-        k, m = 0, len(block)
-        while k < m and out and out[-1] is inverse[block[k]]:
-            pop()
-            k += 1
-        extend(block[k:] if k else block)
+        m = len(block)
+        if m > scan and out and out[-1] is inverse[block[0]]:
+            # a long block that cancels: one scan of ``out`` against the
+            # block's inverse, which is the image itself for a letter x^-1
+            if sign == 1:
+                inv = invs[code]
+                if inv is None:
+                    inv = invs[code] = _inverse_letters(block)
+            else:
+                inv = imgs[code]
+            k = _cancelled(reversed(out), reversed(inv), min(len(out), m))
+            del out[len(out) - k:]
+            extend(block[k:])
+        else:
+            k = 0
+            while k < m and out and out[-1] is inverse[block[k]]:
+                pop()
+                k += 1
+            extend(block[k:] if k else block)
     return tuple(out)
 
 

@@ -431,6 +431,11 @@ _LIMITS = {
 }
 
 
+# the suites that read k; every other suite works over F_{n,1}, so any
+# other k would be reported without being used
+_TAKES_K = {"table1", "johnson", "magnus-oracle"}
+
+
 def suite_names() -> list:
     return sorted(_SUITES)
 
@@ -446,6 +451,8 @@ def run_suite(name: str, n: int | None = None, k: int | None = None,
     samples = DEFAULT_SAMPLES if samples is None else samples
     seed = DEFAULT_SEED if seed is None else seed
     params = {"n": n, "k": k, "samples": samples, "seed": seed}
+    if k != 1 and name not in _TAKES_K:
+        raise ValueError(f"{name} works over k = 1, got {k}")
     for key, low in _LIMITS.get(name, {}).items():
         if params[key] < low:
             raise ValueError(f"{name} needs {key} >= {low}")

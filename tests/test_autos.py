@@ -5,6 +5,8 @@ import pytest
 from torellikit import intmat
 from torellikit.autos import (
     Endo,
+    _fold,
+    _image_letters,
     classify,
     compose,
     conjugation,
@@ -22,7 +24,16 @@ from torellikit.autos import (
 )
 from torellikit.symwords import std_basis
 from torellikit.twisted import iota2
-from torellikit.words import _LETTERS, Basis, Word, _reduce, commutator
+from torellikit.words import (
+    _INVERSE,
+    _LETTERS,
+    _SCAN,
+    Basis,
+    Word,
+    _inverse_letters,
+    _reduce,
+    commutator,
+)
 
 
 B21 = Basis(2, 1)
@@ -307,6 +318,88 @@ def test_apply_on_repeated_inverse_letters_equals_reduce_of_concatenation():
         assert (f * g).images == tuple(
             Word(b, reference_apply(f, img)) for img in g.images
         )
+
+
+def reduced_letters(rng, codes, length, avoid=()):
+    """Random reduced shared letters over ``codes``; the first is none of
+    ``avoid``."""
+    out = []
+    while len(out) < length:
+        letter = _reduce(((rng.choice(codes), rng.choice((1, -1))),))[0]
+        if out and letter is _INVERSE[out[-1]] or not out and letter in avoid:
+            continue
+        out.append(letter)
+    return tuple(out)
+
+
+def planted_blocks(rng, codes, case):
+    """Reduced blocks ``(left, right)`` and the number ``c`` of letters that
+    cancel where they meet, for a named planted length: a number, all of
+    ``right`` but one, all of ``right``, or all of a shorter ``left``.
+    ``right`` is always longer than the one-scan threshold."""
+    top = 300
+    if case == "block-1":
+        m = rng.randint(_SCAN + 1, top)
+        n, c = rng.randint(m, top), m - 1
+    elif case == "block":
+        m = rng.randint(_SCAN + 1, top - 1)
+        n, c = rng.randint(m + 1, top), m
+    elif case == "beyond-out":
+        n = rng.randint(_SCAN + 1, top - 1)
+        m, c = rng.randint(n + 1, top), n
+    else:
+        c = case
+        m = rng.randint(max(_SCAN + 1, c), top)
+        n = rng.randint(max(_SCAN + 1, c + 1), top)
+    left = reduced_letters(rng, codes, n)
+    avoid = []
+    if c:
+        avoid.append(left[n - c])  # keeps right reduced
+    if c < n:
+        avoid.append(_INVERSE[left[n - c - 1]])  # stops the cancellation at c
+    right = _inverse_letters(left[n - c:]) + reduced_letters(rng, codes, m - c, avoid)
+    return left, right, c
+
+
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_long_junctions_equal_reduce_of_concatenation(signs):
+    # x1 and x2 are sent to words in x4, y1 of up to 300 letters, longer
+    # than the one-scan threshold, whose blocks meet in x1^sa x2^sb with a
+    # planted cancellation; x3 is fixed and never cancels, so a prefix
+    # x2^-1 x3 fills the inverse block of x2 first
+    sa, sb = signs
+    rng = random.Random(71 + 2 * sa + sb)
+    b = Basis(4, 1)
+    a, c2, sep = b.x(1), b.x(2), b.x(3)
+    codes = (b.x(4), b.y(1))
+    for _ in range(6):
+        for case in (0, 1, 15, 16, 17, _SCAN - 1, _SCAN, _SCAN + 1,
+                     "block-1", "block", "beyond-out"):
+            left, right, c = planted_blocks(rng, codes, case)
+            imgs = [w.letters for w in identity(b).images]
+            imgs[a] = left if sa == 1 else _inverse_letters(left)
+            imgs[c2] = right if sb == 1 else _inverse_letters(right)
+            f = Endo(b, [Word(b, img) for img in imgs])
+            plain = ((a, sa), (c2, sb))
+            prefixed = ((c2, -1), (sep, 1)) + plain
+            expect = reference_apply(f, Word(b, plain))
+            assert len(expect) == len(left) + len(right) - 2 * c
+            for letters in (plain, prefixed):
+                w = Word(b, letters)
+                ref = reference_apply(f, w)
+                empty = [None] * b.size
+                filled = [_inverse_letters(img) for img in imgs]
+                g = Endo(b, [w if code == sep else img
+                             for code, img in enumerate(identity(b).images)])
+                fold = _fold(b, (((a, imgs[a]),), ((c2, imgs[c2]),),
+                                 ((sep, letters),)), None)
+                for image in (_image_letters(imgs, empty, letters),
+                              _image_letters(imgs, filled, letters),
+                              f.apply(w).letters,
+                              (f * g).images[sep].letters,
+                              fold.images[sep].letters):
+                    assert image == ref
+                    assert all(letter is _LETTERS[letter] for letter in image)
 
 
 def inverse_by_products(f):

@@ -207,6 +207,8 @@ def test_cli_usage_errors(tmp_path, capsys):
         (["verify", "--suite", "johnson", "--n", "2", "--k", "0",
           "--samples", "2"], "johnson needs k >= 1"),
         (["verify", "--suite", "stab-psi", "--n", "0"], "stab-psi needs n >= 1"),
+        (["verify", "--suite", "extension", "--k", "5"],
+         "extension works over k = 1, got 5"),
         (["verify", "--suite", "stab-psi", "--report", str(tmp_path / "no" / "x.json")],
          "No such file"),
         (["verify", "--suite", "extension", "--n", "2", "--samples", "-1"],
@@ -229,3 +231,8 @@ def test_cli_usage_errors(tmp_path, capsys):
         assert main(["verify", "--suite", suite, "--n", str(low - 1)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {suite} needs n >= {low}\n", err
+    # only these suites read k; any other would report a k it never used
+    for suite in set(suite_names()) - {"table1", "johnson", "magnus-oracle"}:
+        assert main(["verify", "--suite", suite, "--k", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {suite} works over k = 1, got 0\n", err
