@@ -19,16 +19,16 @@ junction, since every image is already freely reduced.
 Every image is built by one letter-level kernel, ``_image_letters``, which
 reads the generator images as letter tuples.  The inverse block of an
 image is built the first time a letter needs it and kept for the rest of
-the call, so a word that repeats ``x^-1`` inverts ``f(x)`` once.  A
-junction where a block of more than ``words._SCAN`` (32) letters cancels
-is measured in one C-level scan, ``words._cancelled``: the prefix built so
-far, read backwards, against the block's inverse read backwards.  That
-inverse is ``f(x)`` itself for a letter ``x^-1`` and the kept inverse
-block for ``x``.  The cancelled letters are then cut off in one slice.
-Exact images in the extension grow to about 10^5 letters, and a few
-junctions there cancel thousands of letters each; shorter blocks pop
-their cancelled letters one at a time, which costs less than starting
-the scan.
+the call, so a word that repeats ``x^-1`` inverts ``f(x)`` once.  Where
+a block of more than ``_SCAN`` (32) letters cancels, the cancelled letters
+are counted in one C-level scan: the prefix built so far, read backwards,
+against the block's inverse read backwards, which is ``f(x)`` itself for a
+letter ``x^-1``, the kept inverse block for ``x`` if it is built, and the
+block's letters inverted one by one, only as far as the scan reads, if it
+is not.  They are then cut off in one slice.  Exact images in the
+extension grow to about 10^5 letters, and a few junctions there cancel
+thousands of letters each; a shorter block pops its cancelled letters one
+at a time, which costs less than starting the scan.
 :meth:`Endo.apply` and :meth:`Endo.__mul__` compose through it, and so does
 ``_fold``, which multiplies a sequence of automorphisms given only by the
 images they move, on one list of image letter tuples.  Both
@@ -40,19 +40,11 @@ closed form from the shared letters) are that fold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import is_not
 
 from . import intmat
-from .words import (
-    _INVERSE,
-    _LETTERS,
-    _SCAN,
-    Basis,
-    Word,
-    _cancelled,
-    _inverse_letters,
-    _word,
-    commutator,
-)
+from .words import _INVERSE, _LETTERS, Basis, Word, _inverse_letters, _word, commutator
 
 # Factorization atoms.  Each is a tuple:
 #   ("M", z, alpha, v_letters)  transvection M_{z^alpha, v}
@@ -197,6 +189,15 @@ def _endo(basis: Basis, images: tuple, factors) -> Endo:
     return f
 
 
+# A junction where a block of more than this many letters cancels is
+# measured in one scan (see ``_image_letters``); a shorter one pops its
+# letters.  At 16, phi-nielsen at n=4, whose 57k cancelling junctions with
+# 17-32-letter blocks mostly cancel a few letters, ran about 3% slower in
+# its benchmark workload; the extension's deep junctions gain as much at
+# either.
+_SCAN = 32
+
+
 def _image_letters(imgs, invs, letters) -> tuple:
     """Reduced letters of the image of a reduced word under the
     endomorphism whose generator images have the letter tuples ``imgs``.
@@ -219,24 +220,28 @@ def _image_letters(imgs, invs, letters) -> tuple:
             if block is None:
                 block = invs[code] = _inverse_letters(imgs[code])
         m = len(block)
-        if m > scan and out and out[-1] is inverse[block[0]]:
-            # a long block that cancels: one scan of ``out`` against the
-            # block's inverse, which is the image itself for a letter x^-1
-            if sign == 1:
-                inv = invs[code]
-                if inv is None:
-                    inv = invs[code] = _inverse_letters(block)
+        if m and out and out[-1] is inverse[block[0]]:
+            if m > scan:
+                # the first letter where ``out`` read backwards differs
+                # from the block's inverse read backwards
+                if sign == -1:
+                    rev_inv = reversed(imgs[code])
+                elif invs[code] is None:
+                    rev_inv = map(inverse.__getitem__, block)
+                else:
+                    rev_inv = reversed(invs[code])
+                k = next(compress(count(), map(is_not, reversed(out), rev_inv)),
+                         min(len(out), m))
+                del out[len(out) - k:]
             else:
-                inv = imgs[code]
-            k = _cancelled(reversed(out), reversed(inv), min(len(out), m))
-            del out[len(out) - k:]
+                pop()
+                k = 1
+                while k < m and out and out[-1] is inverse[block[k]]:
+                    pop()
+                    k += 1
             extend(block[k:])
         else:
-            k = 0
-            while k < m and out and out[-1] is inverse[block[k]]:
-                pop()
-                k += 1
-            extend(block[k:] if k else block)
+            extend(block)
     return tuple(out)
 
 

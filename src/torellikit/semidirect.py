@@ -25,21 +25,16 @@ def gl_act_on_Zn(mat, z) -> tuple:
     return intmat.matvec(_dual(mat), tuple(z))
 
 
-def _aut_dual(a: Endo) -> tuple:
-    """``(eta(a)^-1)^t``, built once per automorphism object and kept in
-    its ``_dual`` slot."""
+def aut_act_on_Zn(a: Endo, z) -> tuple:
+    """Left action of an automorphism on an integer vector, through its
+    abelianization matrix eta(a).  The matrix ``(eta(a)^-1)^t`` is built
+    once per automorphism object and kept in its ``_dual`` slot."""
+    if len(z) != a.basis.size:
+        raise ValueError("vector length does not match the basis rank")
     dual = a._dual
     if dual is None:
         dual = a._dual = _dual(a.abel_matrix())
-    return dual
-
-
-def aut_act_on_Zn(a: Endo, z) -> tuple:
-    """Left action of an automorphism on an integer vector, through its
-    abelianization matrix eta(a) (see :func:`_aut_dual`)."""
-    if len(z) != a.basis.size:
-        raise ValueError("vector length does not match the basis rank")
-    return intmat.matvec(_aut_dual(a), tuple(z))
+    return intmat.matvec(dual, tuple(z))
 
 
 def stab_decompose(mat) -> tuple:
@@ -85,23 +80,14 @@ class QElement:
 
 
 def semi_mul(q1: QElement, q2: QElement) -> QElement:
-    """The product; its automorphism carries the action matrix
-    ``dual(a1) dual(a2)``, since a -> (eta(a)^-1)^t is a homomorphism."""
     if len(q1.z) != len(q2.z):
         raise ValueError("rank mismatch")
-    dual1 = _aut_dual(q1.a)
-    a = q1.a * q2.a
-    a._dual = intmat.matmul(dual1, _aut_dual(q2.a))
-    moved = intmat.matvec(dual1, q2.z)
-    return QElement(tuple(x + y for x, y in zip(q1.z, moved)), a)
+    moved = aut_act_on_Zn(q1.a, q2.z)
+    return QElement(tuple(a + b for a, b in zip(q1.z, moved)), q1.a * q2.a)
 
 
 def semi_inv(q: QElement) -> QElement:
-    """The inverse; its automorphism carries the action matrix
-    ``eta(a)^t``, read off without inverting a matrix."""
     a_inv = q.a.inverse()
-    if a_inv._dual is None:
-        a_inv._dual = intmat.transpose(q.a.abel_matrix())
     moved = aut_act_on_Zn(a_inv, q.z)
     return QElement(tuple(-c for c in moved), a_inv)
 

@@ -389,21 +389,23 @@ def _suite_magnus_oracle(n, k, samples, seed):
         yield _case(f"triple-commutator-invariance.{i}", ok)
 
 
+# name -> (suite, default parameters).  A suite that reads k names its
+# default k; every other works over F_{n,1}.
 _SUITES = {
     "table1": (_suite_table1, dict(n=3, k=3)),
-    "phi-conj": (_suite_phi_conj, dict(n=4, k=1)),
-    "phi-inverse-A": (_suite_phi_inverse_a, dict(n=4, k=1)),
-    "phi-nielsen": (_suite_phi_nielsen, dict(n=4, k=1)),
-    "phi-inverse-Z": (_suite_phi_inverse_z, dict(n=4, k=1)),
-    "phi-zn": (_suite_phi_zn, dict(n=4, k=1)),
-    "lambda-zrel": (_suite_lambda_zrel, dict(n=3, k=1)),
-    "tb3": (_suite_tb3, dict(n=3, k=1)),
-    "lambda-arel": (_suite_lambda_arel, dict(n=3, k=1)),
-    "gamma-rel": (_suite_gamma_rel, dict(n=4, k=1)),
-    "extension": (_suite_extension, dict(n=2, k=1)),
-    "jw-delta": (_suite_jw_delta, dict(n=3, k=1)),
+    "phi-conj": (_suite_phi_conj, dict(n=4)),
+    "phi-inverse-A": (_suite_phi_inverse_a, dict(n=4)),
+    "phi-nielsen": (_suite_phi_nielsen, dict(n=4)),
+    "phi-inverse-Z": (_suite_phi_inverse_z, dict(n=4)),
+    "phi-zn": (_suite_phi_zn, dict(n=4)),
+    "lambda-zrel": (_suite_lambda_zrel, dict(n=3)),
+    "tb3": (_suite_tb3, dict(n=3)),
+    "lambda-arel": (_suite_lambda_arel, dict(n=3)),
+    "gamma-rel": (_suite_gamma_rel, dict(n=4)),
+    "extension": (_suite_extension, dict(n=2)),
+    "jw-delta": (_suite_jw_delta, dict(n=3)),
     "johnson": (_suite_johnson, dict(n=3, k=2)),
-    "stab-psi": (_suite_stab_psi, dict(n=3, k=1)),
+    "stab-psi": (_suite_stab_psi, dict(n=3)),
     "magnus-oracle": (_suite_magnus_oracle, dict(n=3, k=2)),
 }
 
@@ -431,11 +433,6 @@ _LIMITS = {
 }
 
 
-# the suites that read k; every other suite works over F_{n,1}, so any
-# other k would be reported without being used
-_TAKES_K = {"table1", "johnson", "magnus-oracle"}
-
-
 def suite_names() -> list:
     return sorted(_SUITES)
 
@@ -447,12 +444,13 @@ def run_suite(name: str, n: int | None = None, k: int | None = None,
         raise ValueError(f"unknown suite {name!r}; have {suite_names()}")
     fn, defaults = _SUITES[name]
     n = defaults["n"] if n is None else n
-    k = defaults["k"] if k is None else k
+    if "k" not in defaults and k not in (None, 1):
+        # a k the suite never reads would still be written into its report
+        raise ValueError(f"{name} works over k = 1, got {k}")
+    k = defaults.get("k", 1) if k is None else k
     samples = DEFAULT_SAMPLES if samples is None else samples
     seed = DEFAULT_SEED if seed is None else seed
     params = {"n": n, "k": k, "samples": samples, "seed": seed}
-    if k != 1 and name not in _TAKES_K:
-        raise ValueError(f"{name} works over k = 1, got {k}")
     for key, low in _LIMITS.get(name, {}).items():
         if params[key] < low:
             raise ValueError(f"{name} needs {key} >= {low}")

@@ -12,16 +12,12 @@ a letter cancels against the next exactly when that one ``is`` its inverse.
 The product of two freely reduced words cancels only at their junction
 (Sims, *Computation with Finitely Presented Groups*, 1994, ch. 1-2), so
 products, inverses and images of reduced words are built without a second
-reduction pass.  Where both sides of a junction are long, the cancelled
-letters are counted in one C-level scan (``_cancelled``) instead of one
-Python step per letter.
+reduction pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
-from operator import is_not
 
 
 @dataclass(frozen=True)
@@ -129,35 +125,11 @@ def _inverse_letters(letters: tuple) -> tuple:
     return tuple(map(_INVERSE.__getitem__, reversed(letters)))
 
 
-# A junction that can cancel more than this many letters (the appended
-# block is longer, and in ``_join`` the other side too) and whose first
-# letters do cancel is measured by ``_cancelled`` in one scan.  On shorter
-# blocks a loop over the letters costs less than starting the scan and
-# building the inverse block it reads: with 16 here, the phi-nielsen suite
-# at n=4, whose blocks run to a few dozen letters, spent about 7% more
-# time in ``autos._image_letters``, and with 32 about 3%, while the
-# extension suites, whose deep junctions cancel thousands of letters, ran
-# as fast with either.
-_SCAN = 32
-
-
-def _cancelled(rev_left, rev_right_inv, m: int) -> int:
-    """How many letters cancel where a reduced word meets another: the
-    length of the common prefix of the first word's letters reversed and
-    the second word's inverse letters reversed, at most ``m``, the shorter
-    length of the two.  Both iterables are read at C speed, up to the
-    first letter where they differ."""
-    return next(compress(count(), map(is_not, rev_left, rev_right_inv)), m)
-
-
 def _join(left: tuple, right: tuple) -> tuple:
     """Reduced letters of the product of two reduced letter tuples."""
     k, m = 0, min(len(left), len(right))
-    if m > _SCAN and left[-1] is _INVERSE[right[0]]:
-        k = _cancelled(reversed(left), map(_INVERSE.__getitem__, right), m)
-    else:
-        while k < m and left[-1 - k] is _INVERSE[right[k]]:
-            k += 1
+    while k < m and left[-1 - k] is _INVERSE[right[k]]:
+        k += 1
     return left[:len(left) - k] + right[k:] if k else left + right
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from torellikit import intmat
 from torellikit.autos import (
+    _SCAN,
     Endo,
     _fold,
     _image_letters,
@@ -27,7 +28,6 @@ from torellikit.twisted import iota2
 from torellikit.words import (
     _INVERSE,
     _LETTERS,
-    _SCAN,
     Basis,
     Word,
     _inverse_letters,

@@ -8,7 +8,7 @@ import pytest
 from torellikit.certificates import MAX_DEPTH, MAX_RANK
 from torellikit.cli import main
 from torellikit.lpres import krel
-from torellikit.suites import _acts_trivially, run_suite, suite_names
+from torellikit.suites import _SUITES, _acts_trivially, run_suite, suite_names
 from torellikit.symwords import parse_token, std_basis
 
 
@@ -231,8 +231,11 @@ def test_cli_usage_errors(tmp_path, capsys):
         assert main(["verify", "--suite", suite, "--n", str(low - 1)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {suite} needs n >= {low}\n", err
-    # only these suites read k; any other would report a k it never used
-    for suite in set(suite_names()) - {"table1", "johnson", "magnus-oracle"}:
+    # a suite with no default k works over k = 1; any other k would be
+    # reported without being used
+    for suite, (_, defaults) in _SUITES.items():
+        if "k" in defaults:
+            continue
         assert main(["verify", "--suite", suite, "--k", "0"]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {suite} works over k = 1, got 0\n", err

@@ -3,9 +3,7 @@ import random
 import pytest
 
 from torellikit.words import (
-    _INVERSE,
     _LETTERS,
-    _SCAN,
     Basis,
     Word,
     _reduce,
@@ -121,57 +119,6 @@ def all_shared(word):
     return all(letter is _LETTERS[letter] for letter in word.letters)
 
 
-def reduced_letters(rng, codes, length, avoid=()):
-    """Random reduced shared letters over ``codes``; the first is none of
-    ``avoid``."""
-    out = []
-    while len(out) < length:
-        letter = _reduce(((rng.choice(codes), rng.choice((1, -1))),))[0]
-        if out and letter is _INVERSE[out[-1]] or not out and letter in avoid:
-            continue
-        out.append(letter)
-    return tuple(out)
-
-
-def planted(rng, codes, left, c, m):
-    """Reduced letters of length ``m`` that cancel exactly the last ``c``
-    letters of the reduced ``left``."""
-    avoid = []
-    if c:
-        avoid.append(left[len(left) - c])  # keeps the result reduced
-    if c < len(left):
-        avoid.append(_INVERSE[left[len(left) - c - 1]])  # stops at c
-    head = raw_inverse(left[len(left) - c:])
-    return _reduce(head) + reduced_letters(rng, codes, m - c, avoid)
-
-
-def long_junctions(rng, codes, cases):
-    """``(left, right, c)`` for each named planted cancellation length:
-    ``c`` letters cancel where ``left`` meets ``right``, and ``right`` is
-    longer than the one-scan threshold."""
-    top = 300
-    for case in cases:
-        if case == "block-1":
-            m = rng.randint(_SCAN + 1, top)
-            n, c = rng.randint(m, top), m - 1
-        elif case == "block":
-            m = rng.randint(_SCAN + 1, top - 1)
-            n, c = rng.randint(m + 1, top), m
-        elif case == "beyond-left":
-            n = rng.randint(_SCAN + 1, top - 1)
-            m, c = rng.randint(n + 1, top), n
-        else:
-            c = case
-            m = rng.randint(max(_SCAN + 1, c), top)
-            n = rng.randint(max(_SCAN + 1, c + 1), top)
-        left = reduced_letters(rng, codes, n)
-        yield left, planted(rng, codes, left, c, m), c
-
-
-PLANTED = (0, 1, 15, 16, 17, _SCAN - 1, _SCAN, _SCAN + 1,
-           "block-1", "block", "beyond-left")
-
-
 def test_mul_and_inv_equal_reduce_of_concatenation():
     rng = random.Random(31)
     empty = B21.word("")
@@ -193,18 +140,6 @@ def test_mul_and_inv_equal_reduce_of_concatenation():
         assert inverse.letters == _reduce(raw_inverse(u.letters))
         assert all_shared(inverse)
         assert (u * inverse).letters == ()
-    # long operands, whose junctions are measured in one scan: planted
-    # cancellations on both sides of the threshold, of all the shorter
-    # operand, and of all of the left one with the right one longer
-    for _ in range(40):
-        for left, right, c in long_junctions(rng, range(B21.size), PLANTED):
-            u, v = Word(B21, left), Word(B21, right)
-            assert u.letters == left and v.letters == right
-            for a, b in ((u, v), (v.inv(), u.inv()), (v, u)):
-                prod = a * b
-                assert prod.letters == _reduce(a.letters + b.letters)
-                assert all_shared(prod)
-            assert len(u * v) == len(u) + len(v) - 2 * c
 
 
 def test_public_constructor_shares_letters():
