@@ -44,7 +44,9 @@ from itertools import compress, count
 from operator import is_not
 
 from . import intmat
-from .words import _INVERSE, _LETTERS, Basis, Word, _inverse_letters, _word, commutator
+from .words import (
+    _INVERSE, _LETTERS, Basis, Word, _inverse_letters, _word, commutator, is_conjugate,
+)
 
 # Factorization atoms.  Each is a tuple:
 #   ("M", z, alpha, v_letters)  transvection M_{z^alpha, v}
@@ -403,8 +405,6 @@ def classify(f: Endo) -> Membership:
     words, IA-membership is the abelianization matrix, kernel membership is
     deletion of the y-letters.
     """
-    from .words import is_conjugate
-
     b = f.basis
     in_a = all(
         is_conjugate(f.images[b.y(j)], Word(b, ((b.y(j), 1),)))

@@ -29,7 +29,9 @@ from weakref import WeakKeyDictionary
 
 from . import autos
 from .semidirect import QElement, aut_act_on_Zn, semi_inv, semi_mul
-from .symwords import interpret, is_generator, std_basis, token_inv
+from .symwords import (
+    alphabet, interpret, is_generator, signed_alphabet, std_basis, token_inv,
+)
 from .twisted import _twisted_commutator, aut_basis, interpret_aut, iota1, iota2
 
 
@@ -80,12 +82,8 @@ def is_ext_identity(group: ExtGroup, g: ExtElement) -> bool:
 # the concrete model over the Torelli Birman kernel
 
 
-def birman_ext(n: int, corrupt_gamma=None) -> ExtGroup:
-    """The extension data induced by the twisted commutator at rank n.
-
-    ``corrupt_gamma`` optionally post-composes gamma's value when a
-    predicate fires (mutation testing of the cocycle identities).
-    """
+def birman_ext(n: int) -> ExtGroup:
+    """The extension data induced by the twisted commutator at rank n."""
     big = std_basis(n)
     # q -> L_q (see the module docstring), for as long as q is alive
     lifts = WeakKeyDictionary()
@@ -108,12 +106,7 @@ def birman_ext(n: int, corrupt_gamma=None) -> ExtGroup:
         # iota2(z1) lambda_bar(a1, z2) iota2(-z1), with the y-transvection
         # iota2(-(a1 . z2)) moved past iota2(-z1): y-transvections commute
         moved = aut_act_on_Zn(q1.a, q2.z)
-        value = _twisted_commutator(lift(q1), q2.z, moved, n)
-        if corrupt_gamma is not None and corrupt_gamma(q1, q2):
-            value = value * interpret(
-                (("C", (big.x(1), 1), (big.y(1), 1)),), big
-            )
-        return value
+        return _twisted_commutator(lift(q1), q2.z, moved, n)
 
     return ExtGroup(
         n=n,
@@ -130,8 +123,6 @@ def forward(group: ExtGroup, g: ExtElement) -> autos.Endo:
 
 
 def random_q(n: int, rng: Random, word_len: int = 4, span: int = 2) -> QElement:
-    from .symwords import signed_alphabet
-
     sa = signed_alphabet("S_A", n)
     word = tuple(rng.choice(sa) for _ in range(rng.randint(0, word_len)))
     z = tuple(rng.randint(-span, span) for _ in range(n))
@@ -139,8 +130,6 @@ def random_q(n: int, rng: Random, word_len: int = 4, span: int = 2) -> QElement:
 
 
 def random_kernel(n: int, rng: Random, word_len: int = 4) -> autos.Endo:
-    from .symwords import alphabet
-
     big = std_basis(n)
     sk = alphabet("S_K", n)
     word = []
@@ -189,34 +178,29 @@ def phi_inverse_gen(tok, group: ExtGroup) -> ExtElement:
     Transvections among the x's, swaps, and inversions land in the
     Aut(F_n) coordinate; M[x_a, y] lands in the Z^n coordinate;
     C[y, x_a] lands in the kernel; M[x_a^-1, y] is the composite
-    kernel-conjugation * inverse-y-transvection.
+    kernel-conjugation * inverse-y-transvection.  A token that is not a
+    generator of S_C raises ``ValueError``.
     """
     n = group.n
+    if not is_generator(tok, "S_C", n):
+        raise ValueError(f"not a presentation generator: {tok!r}")
     big = std_basis(n)
     y = big.y(1)
     qid = autos.identity(aut_basis(n))
     zero = (0,) * n
-    tag = tok[0]
-    if tag in ("P", "I") or (tag == "M" and tok[2][0] != y):
+    if tok[0] == "C":
+        return ExtElement(interpret((tok,), big), QElement(zero, qid))
+    if tok[0] != "M" or tok[2][0] != y:
         return ExtElement(group.kernel_identity, QElement(zero, interpret_aut((tok,), n)))
-    if tag == "C":
-        (u, _), (w, ws) = tok[1], tok[2]
-        if u == y and ws == 1:
-            return ExtElement(interpret((tok,), big), QElement(zero, qid))
-        raise ValueError(f"not a presentation generator: {tok!r}")
-    if tag == "M":
-        (a, alpha), (_, vs) = tok[1], tok[2]
-        if vs != 1:
-            raise ValueError(f"not a presentation generator: {tok!r}")
-        e_a = tuple(1 if i == a else 0 for i in range(n))
-        y_part = ExtElement(group.kernel_identity, QElement(e_a, qid))
-        if alpha == 1:
-            return y_part
-        con = ExtElement(
-            interpret((("C", (a, 1), (y, 1)),), big), QElement(zero, qid)
-        )
-        return ext_mul(group, con, ext_inv(group, y_part))
-    raise ValueError(f"not a presentation generator: {tok!r}")
+    a, alpha = tok[1]
+    e_a = tuple(1 if i == a else 0 for i in range(n))
+    y_part = ExtElement(group.kernel_identity, QElement(e_a, qid))
+    if alpha == 1:
+        return y_part
+    con = ExtElement(
+        interpret((("C", (a, 1), (y, 1)),), big), QElement(zero, qid)
+    )
+    return ext_mul(group, con, ext_inv(group, y_part))
 
 
 def phi_inverse_word(tokens, group: ExtGroup) -> ExtElement:

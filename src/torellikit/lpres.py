@@ -32,6 +32,7 @@ from .symwords import (
     P,
     SymWord,
     alphabet,
+    in_alphabet,
     interpret,
     is_generator,
     signed_alphabet,
@@ -96,38 +97,33 @@ def phi_gen(s, t, n: int) -> tuple:
     """
     if not is_generator(t, "S_K", n):
         raise ValueError(f"not an S_K generator: {t!r}")
-    tag = s[0]
-    if tag in ("P", "I"):
-        return (_relabel(t, _perm_of(s)),)
-    if tag != "M":
+    if not in_alphabet(s, "S_Q", n):
         raise ValueError(f"not an S_Q token: {s!r}")
+    if s[0] in ("P", "I"):
+        return (_relabel(t, _perm_of(s)),)
     y = std_basis(n).y(1)
     (a, alpha), (v, vs) = s[1], s[2]
     if v == y:
-        return _phi_m_xy(a, alpha, vs, t, y)
+        return _phi_m_xy(a, vs, t, y)
     return _phi_m_xx(a, alpha, v, vs, t, y)
 
 
-def _phi_m_xy(a, alpha, eps, t, y):
-    """Rules for s = M[x_a^alpha, y]^eps (S_Q itself has alpha = +1)."""
+def _phi_m_xy(a, eps, t, y):
+    """Rules for s = M[x_a, y]^eps."""
     tag = t[0]
     if tag == "C":
         (u, _), (w, _) = t[1], t[2]
         if w == y:
             return (t,)  # C[x_c, y] is fixed for every c
-        if alpha != 1:
-            raise ValueError("no rewrite rule for M[x^-1, y] on this shape")
         if w == a:
             return (C(a, y, eps), t)
         return (t, Mc(a, 1, y, -eps, w, -1))
     # t = Mc[f^fs, y^zeta, l^ls]
     (f, fs), _, (l, ls) = t[1], t[2], t[3]
-    if (f == a and fs == -alpha) or (l == a and ls == -alpha):
+    if (f == a and fs == -1) or (l == a and ls == -1):
         return (t,)
     if f != a and l != a:
         return (t,)
-    if alpha != 1:
-        raise ValueError("no rewrite rule for M[x^-1, y] on this shape")
     return (C(a, y, eps), t, C(a, y, -eps))
 
 

@@ -412,8 +412,9 @@ _SUITES = {
 # lower bounds on parameters, checked before a suite starts.  Every suite
 # has one on n: the alphabets, the seed relations and the conjugation table
 # start at n = 2, and the other suites would check F_{0,k} vacuously.
-# Every suite that draws samples needs one on samples, or its sampled
-# checks pass vacuously.
+# Every suite also needs samples >= 1 (checked in run_suite): a suite that
+# draws samples would pass vacuously, and the others would report a count
+# they never read.
 _LIMITS = {
     "table1": dict(n=2),
     "phi-conj": dict(n=2),
@@ -422,14 +423,14 @@ _LIMITS = {
     "phi-inverse-Z": dict(n=2),
     "phi-zn": dict(n=2),
     "lambda-zrel": dict(n=2),
-    "tb3": dict(n=2, samples=1),
-    "lambda-arel": dict(n=2, samples=1),
+    "tb3": dict(n=2),
+    "lambda-arel": dict(n=2),
     "gamma-rel": dict(n=2),
-    "extension": dict(n=2, samples=1),
+    "extension": dict(n=2),
     "jw-delta": dict(n=2),
-    "johnson": dict(n=1, k=1, samples=1),
-    "stab-psi": dict(n=1, samples=1),
-    "magnus-oracle": dict(n=1, samples=1),
+    "johnson": dict(n=1, k=1),
+    "stab-psi": dict(n=1),
+    "magnus-oracle": dict(n=1),
 }
 
 
@@ -454,6 +455,8 @@ def run_suite(name: str, n: int | None = None, k: int | None = None,
     for key, low in _LIMITS.get(name, {}).items():
         if params[key] < low:
             raise ValueError(f"{name} needs {key} >= {low}")
+    if samples < 1:
+        raise ValueError(f"{name} needs samples >= 1")
     started = time.monotonic()
     report = SuiteReport(name, params, list(fn(n, k, samples, seed)))
     report.elapsed_ms = (time.monotonic() - started) * 1000.0

@@ -15,9 +15,10 @@ inverses, ``M[z^a, v]^-1 = M[z^a, v^-1]``, ``C[u, w]^-1 = C[u, w^-1]``, and
 ``C`` token is dropped at construction: conjugating ``u`` or ``u^-1`` is
 the same automorphism.
 
-A :class:`SymWord` is a freely reduced token sequence, optionally pinned to
-one of the alphabets ``S_A``, ``S_Z``, ``S_Q``, ``S_K``, ``S_C`` (all over
-the basis ``x1..xn, y``).
+A :class:`SymWord` is a freely reduced token sequence.  The alphabets
+``S_A``, ``S_Z``, ``S_Q``, ``S_K``, ``S_C`` (all over the basis
+``x1..xn, y``) are each stated once, by the token list of :func:`alphabet`;
+membership (:func:`is_generator`, :func:`in_alphabet`) is read from it.
 
 :func:`interpret` evaluates a token word as an automorphism by one fold
 over a list of image letter tuples (``autos._fold``, which also inverts
@@ -124,18 +125,9 @@ class SymWord:
 
     basis: Basis
     tokens: tuple
-    alphabet: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", _reduce_tokens(self.tokens))
-        if self.alphabet is not None:
-            if self.alphabet not in ALPHABETS:
-                raise ValueError(f"unknown alphabet {self.alphabet!r}")
-            for tok in self.tokens:
-                if not in_alphabet(tok, self.alphabet, self.basis.n):
-                    raise ValueError(
-                        f"token {format_token(tok, self.basis)} outside {self.alphabet}"
-                    )
 
     def __len__(self):
         return len(self.tokens)
@@ -146,17 +138,15 @@ class SymWord:
     def __mul__(self, other: "SymWord") -> "SymWord":
         if self.basis != other.basis:
             raise ValueError("cannot multiply words over different bases")
-        if self.alphabet != other.alphabet:
-            raise ValueError("cannot multiply words over different alphabets")
-        return SymWord(self.basis, self.tokens + other.tokens, self.alphabet)
+        return SymWord(self.basis, self.tokens + other.tokens)
 
     def inv(self) -> "SymWord":
-        return SymWord(self.basis, tokens_inv(self.tokens), self.alphabet)
+        return SymWord(self.basis, tokens_inv(self.tokens))
 
     def __pow__(self, e: int) -> "SymWord":
         if e < 0:
             return self.inv() ** (-e)
-        out = SymWord(self.basis, (), self.alphabet)
+        out = SymWord(self.basis, ())
         for _ in range(e):
             out = out * self
         return out
@@ -224,51 +214,6 @@ def alphabet(kind: str, n: int) -> list:
     return gens
 
 
-def is_generator(tok, kind: str, n: int) -> bool:
-    """Whether the token is a generator (not an inverse) of the alphabet."""
-    b = std_basis(n)
-    y = b.y(1)
-    tag = tok[0]
-    if kind in ("S_A", "S_Q", "S_C"):
-        if tag == "P":
-            return b.is_x(tok[1]) and b.is_x(tok[2])
-        if tag == "I":
-            return b.is_x(tok[1])
-        if tag == "M":
-            (z, _), (v, vs) = tok[1], tok[2]
-            if b.is_x(z) and b.is_x(v) and vs == 1:
-                return True
-    if kind in ("S_Z", "S_Q"):
-        if tag == "M":
-            (z, zs), (v, vs) = tok[1], tok[2]
-            if b.is_x(z) and zs == 1 and v == y and vs == 1:
-                return True
-    if kind == "S_C":
-        if tag == "M":
-            (z, _), (v, vs) = tok[1], tok[2]
-            if b.is_x(z) and v == y and vs == 1:
-                return True
-        if tag == "C":
-            (u, _), (w, ws) = tok[1], tok[2]
-            if u == y and b.is_x(w) and ws == 1:
-                return True
-    if kind == "S_K":
-        if tag == "C":
-            (u, _), (w, ws) = tok[1], tok[2]
-            if u == y and b.is_x(w) and ws == 1:
-                return True
-            if b.is_x(u) and w == y and ws == 1:
-                return True
-        if tag == "Mc":
-            (a, _), (p, _), (q, _) = tok[1], tok[2], tok[3]
-            return b.is_x(a) and p == y and b.is_x(q)
-    return False
-
-
-def in_alphabet(tok, kind: str, n: int) -> bool:
-    return is_generator(tok, kind, n) or is_generator(token_inv(tok), kind, n)
-
-
 def signed_alphabet(kind: str, n: int) -> list:
     """Generators plus inverses, deduplicated (swaps and inversions are
     their own inverses)."""
@@ -281,6 +226,29 @@ def signed_alphabet(kind: str, n: int) -> list:
             seen.add(t)
             out.append(t)
     return out
+
+
+# (kind, n) -> (the generators, the generators and their inverses)
+_MEMBERS: dict = {}
+
+
+def _members(kind: str, n: int) -> tuple:
+    members = _MEMBERS.get((kind, n))
+    if members is None:
+        members = _MEMBERS[(kind, n)] = (
+            frozenset(alphabet(kind, n)), frozenset(signed_alphabet(kind, n))
+        )
+    return members
+
+
+def is_generator(tok, kind: str, n: int) -> bool:
+    """Whether the token is a generator (not an inverse) of the alphabet."""
+    return tok in _members(kind, n)[0]
+
+
+def in_alphabet(tok, kind: str, n: int) -> bool:
+    """Whether the token is a generator of the alphabet or an inverse of one."""
+    return tok in _members(kind, n)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +337,7 @@ def applyrels(start: SymWord, steps) -> SymWord:
                 f"step {idx}: position {pos} out of range 0..{len(word.tokens)}"
             )
         tokens = word.tokens[:pos] + insert.tokens + word.tokens[pos:]
-        word = SymWord(word.basis, tokens, word.alphabet)
+        word = SymWord(word.basis, tokens)
     return word
 
 
@@ -444,9 +412,9 @@ def parse_token(text: str, basis: Basis):
     return token_inv(tok) if invert else tok
 
 
-def parse_word(text: str, basis: Basis, alphabet: str | None = None) -> SymWord:
+def parse_word(text: str, basis: Basis) -> SymWord:
     text = text.strip()
     if text in ("", "1"):
-        return SymWord(basis, (), alphabet)
+        return SymWord(basis, ())
     tokens = [parse_token(part, basis) for part in text.split("*")]
-    return SymWord(basis, tuple(tokens), alphabet)
+    return SymWord(basis, tuple(tokens))

@@ -23,7 +23,10 @@ from typing import Callable
 
 from . import autos
 from .semidirect import aut_act_on_Zn
-from .symwords import C, M, Mc, SymWord, interpret, std_basis, token_inv, tokens_inv
+from .symwords import (
+    C, M, Mc, SymWord, alphabet, in_alphabet, interpret, signed_alphabet,
+    std_basis, token_inv, tokens_inv,
+)
 from .words import Basis, _inverse_letters, _word
 from .lpres import phi_word
 
@@ -103,9 +106,9 @@ def _neg(z) -> tuple:
 
 def zn_vector(tok, n: int) -> tuple:
     """The image of an S_Z^{+-1} token in Z^n."""
-    (i, isign), (_, eps) = tok[1], tok[2]
-    if isign != 1:
+    if not in_alphabet(tok, "S_Z", n):
         raise ValueError(f"not an S_Z token: {tok!r}")
+    (i, _), (_, eps) = tok[1], tok[2]
     vec = [0] * n
     vec[i] = eps
     return tuple(vec)
@@ -158,19 +161,18 @@ def lambda_gen(f, z, n: int) -> tuple:
     ``f`` is an S_A token or inverse, ``z`` an S_Z token or inverse.
     Pairs without a table entry map to the empty word.
     """
-    big = std_basis(n)
-    y = big.y(1)
-    (i, isign), (yy, eps) = z[1], z[2]
-    if z[0] != "M" or isign != 1 or yy != y:
+    if not in_alphabet(f, "S_A", n):
+        raise ValueError(f"not an S_A^+-1 token: {f!r}")
+    if not in_alphabet(z, "S_Z", n):
         raise ValueError(f"not an S_Z^+-1 token: {z!r}")
+    y = std_basis(n).y(1)
+    (i, _), (_, eps) = z[1], z[2]
     tag = f[0]
     if tag == "P":
         return ()
     if tag == "I":
         return (C(f[1], y, eps),) if f[1] == i else ()
     (a, alpha), (b, beta) = f[1], f[2]
-    if b == y:
-        raise ValueError(f"not an S_A^+-1 token: {f!r}")
     if alpha == 1:
         if i == a:
             return (Mc(a, 1, y, -eps, b, -beta),)
@@ -292,24 +294,14 @@ def tb_check(data: TwistedBilinearData, samples: int = 100,
     return failures
 
 
-def birman_data(n: int, corrupt=None) -> TwistedBilinearData:
+def birman_data(n: int) -> TwistedBilinearData:
     """The semantic instance of the axioms at rank n.
 
     A = words over S_A^{+-1}, B = Z^n, K = automorphisms of F_{n,1}.
-    ``corrupt`` optionally post-composes the map's value on one input pair,
-    for mutation testing.
     """
-    from .symwords import alphabet, signed_alphabet
-
     big = std_basis(n)
     sa = signed_alphabet("S_A", n)
     sk = alphabet("S_K", n)
-
-    def lam(a, b):
-        value = lambda_bar(a, b, n)
-        if corrupt is not None and corrupt(a, b):
-            value = value * interpret((C(big.x(1), big.y(1)),), big)
-        return value
 
     def sample_A(rng):
         return tuple(rng.choice(sa) for _ in range(rng.randint(0, 6)))
@@ -328,7 +320,7 @@ def birman_data(n: int, corrupt=None) -> TwistedBilinearData:
         return A * k * A.inverse()
 
     return TwistedBilinearData(
-        lam=lam,
+        lam=lambda a, b: lambda_bar(a, b, n),
         act_A_on_B=lambda a, b: _act_on_Zn(a, b, n),
         act_A_on_K=act_A_on_K,
         act_B_on_K=lambda b, k: iota2(b, n) * k * iota2(_neg(b), n),

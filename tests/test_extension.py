@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from torellikit import extension as ext
 from torellikit.lpres import jensen_wahl_relators
 from torellikit.semidirect import semi_mul
-from torellikit.symwords import alphabet, interpret, parse_token, std_basis
+from torellikit.symwords import C, alphabet, interpret, parse_token, std_basis
 from torellikit.twisted import iota1, iota2, lambda_bar
 
 N = 2
@@ -54,7 +55,15 @@ def test_associativity_and_inverses():
 
 def test_cocycle_identities_and_mutation():
     assert ext.cocycle_check(GROUP, samples=60) == []
-    corrupted = ext.birman_ext(N, corrupt_gamma=lambda q1, q2: any(q1.z))
+    # post-compose gamma with C[x1, y] wherever q1 has a Z^n part
+    basis = std_basis(N)
+    shift = interpret((C(basis.x(1), basis.y(1)),), basis)
+
+    def gamma(q1, q2):
+        value = GROUP.gamma(q1, q2)
+        return value * shift if any(q1.z) else value
+
+    corrupted = dataclasses.replace(GROUP, gamma=gamma)
     fails = ext.cocycle_check(corrupted, samples=60)
     assert fails  # the corrupted 2-cochain is caught with a witness
     assert all(name in ("conjugation-identity", "cocycle-identity")

@@ -43,6 +43,8 @@ def test_phi_gen_examples():
     assert phi_gen(M(0, 1, Y), C(1, Y), N) == (C(1, Y),)
     with pytest.raises(ValueError):
         phi_gen(M(0, 1, Y), token_inv(C(Y, 1)), N)  # inverses are not generators
+    with pytest.raises(ValueError):
+        phi_gen(M(0, -1, Y), C(1, Y), N)  # M[x1^-1, y] is not in S_Q^+-1
 
 
 def test_phi_totality():

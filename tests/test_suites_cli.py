@@ -218,6 +218,10 @@ def test_cli_usage_errors(tmp_path, capsys):
          "lambda-arel needs samples >= 1"),
         (["verify", "--suite", "magnus-oracle", "--samples", "0"],
          "magnus-oracle needs samples >= 1"),
+        (["verify", "--suite", "table1", "--samples", "0"],
+         "table1 needs samples >= 1"),
+        (["verify", "--suite", "gamma-rel", "--n", "2", "--samples", "-5"],
+         "gamma-rel needs samples >= 1"),
     ):
         assert main(argv) == 2
         err = capsys.readouterr().err

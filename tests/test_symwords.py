@@ -102,8 +102,6 @@ def test_alphabet_membership():
     assert in_alphabet(Mc(0, -1, Y, -1, 2, -1), "S_K", N)
     assert in_alphabet(token_inv(Mc(0, 1, Y, 1, 2, 1)), "S_K", N)
     assert not in_alphabet(C(0, 1), "S_K", N)
-    with pytest.raises(ValueError):
-        SymWord(B, (M(0, 1, Y),), alphabet="S_A")
 
 
 def test_interpret_examples():

@@ -1,4 +1,7 @@
+import dataclasses
 import random
+
+import pytest
 
 from torellikit.autos import classify, identity, transvection
 from torellikit.lpres import nielsen_relators, zn_relators
@@ -111,6 +114,11 @@ def test_lambda_gen_table_rows():
     # default entries are trivial
     assert lambda_gen(P(0, 1), M(2, 1, Y), N) == ()
     assert lambda_gen(I(0), M(1, 1, Y), N) == ()
+    # tokens outside S_A^+-1 and S_Z^+-1 are rejected, not misread
+    with pytest.raises(ValueError):
+        lambda_gen(("P", 0, 8), M(0, 1, Y), N)  # swap code out of range
+    with pytest.raises(ValueError):
+        zn_vector(M(0, 1, 1), N)  # an S_A transvection, not a y-transvection
 
 
 def test_lambda_gen_matches_twisted_commutator_exhaustively():
@@ -272,6 +280,13 @@ def test_tb3_exhaustive_and_mutation():
     def failing(data):
         return [(a, b) for a, b in grid if next(tb3_failures(data, a, b, ks), None) is not None]
 
-    assert failing(birman_data(n)) == []
-    corrupted = birman_data(n, corrupt=lambda a, b: len(a) == 1 and a[0][0] == "I")
+    data = birman_data(n)
+    assert failing(data) == []
+    shift = interpret((C(basis.x(1), basis.y(1)),), basis)
+
+    def lam(a, b):
+        value = data.lam(a, b)
+        return value * shift if len(a) == 1 and a[0][0] == "I" else value
+
+    corrupted = dataclasses.replace(data, lam=lam)
     assert failing(corrupted) == [(a, b) for a, b in grid if a[0][0] == "I"]
