@@ -487,6 +487,17 @@ def johnson_rank(endos) -> int:
 # Standard generating sets
 
 
+def _y_conjugations(b: Basis) -> list:
+    """Every conjugation move into or out of a y-generator."""
+    gens = []
+    for j in range(1, b.k + 1):
+        y = b.y(j)
+        for other in range(b.size):
+            if other != y:
+                gens += [conjugation(b, y, other), conjugation(b, other, y)]
+    return gens
+
+
 def torelli_kernel_generators(basis: Basis) -> list:
     """The generating set of the Torelli Birman kernel KIA_{n,k}:
     commutator transvections M_{x,[y,z]} plus all conjugation moves into or
@@ -503,14 +514,7 @@ def torelli_kernel_generators(basis: Basis) -> list:
                     continue
                 v = commutator(Word(b, ((y, 1),)), Word(b, ((other, 1),)))
                 gens.append(transvection(b, x, 1, v))
-    for j in range(1, b.k + 1):
-        y = b.y(j)
-        for other in range(b.size):
-            if other == y:
-                continue
-            gens.append(conjugation(b, y, other))
-            gens.append(conjugation(b, other, y))
-    return _dedupe(gens)
+    return _dedupe(gens + _y_conjugations(b))
 
 
 def johnson_basis_generators(basis: Basis) -> list:
@@ -533,14 +537,7 @@ def johnson_basis_generators(basis: Basis) -> list:
             for jb in range(ja + 1, b.k + 1):
                 v = commutator(Word(b, ((b.y(ja), 1),)), Word(b, ((b.y(jb), 1),)))
                 gens.append(transvection(b, x, 1, v))
-    for j in range(1, b.k + 1):
-        y = b.y(j)
-        for other in range(b.size):
-            if other == y:
-                continue
-            gens.append(conjugation(b, y, other))
-            gens.append(conjugation(b, other, y))
-    return _dedupe(gens)
+    return _dedupe(gens + _y_conjugations(b))
 
 
 def expected_johnson_rank(n: int, k: int) -> int:

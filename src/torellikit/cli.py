@@ -14,7 +14,7 @@ from . import certificates, lpres, suites
 
 
 def _parse_seed(text: str) -> int:
-    return int(text, 16) if text.lower().startswith("0x") else int(text, 0)
+    return int(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:

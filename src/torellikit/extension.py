@@ -32,7 +32,9 @@ from .semidirect import QElement, aut_act_on_Zn, semi_inv, semi_mul
 from .symwords import (
     alphabet, interpret, is_generator, signed_alphabet, std_basis, token_inv,
 )
-from .twisted import _twisted_commutator, aut_basis, interpret_aut, iota1, iota2
+from .twisted import (
+    DEFAULT_SEED, _twisted_commutator, aut_basis, interpret_aut, iota1, iota2,
+)
 
 
 @dataclass
@@ -122,18 +124,18 @@ def forward(group: ExtGroup, g: ExtElement) -> autos.Endo:
     return g.k * iota2(g.q.z, group.n) * iota1(g.q.a, group.n)
 
 
-def random_q(n: int, rng: Random, word_len: int = 4, span: int = 2) -> QElement:
+def random_q(n: int, rng: Random) -> QElement:
     sa = signed_alphabet("S_A", n)
-    word = tuple(rng.choice(sa) for _ in range(rng.randint(0, word_len)))
-    z = tuple(rng.randint(-span, span) for _ in range(n))
+    word = tuple(rng.choice(sa) for _ in range(rng.randint(0, 4)))
+    z = tuple(rng.randint(-2, 2) for _ in range(n))
     return QElement(z, interpret_aut(word, n))
 
 
-def random_kernel(n: int, rng: Random, word_len: int = 4) -> autos.Endo:
+def random_kernel(n: int, rng: Random) -> autos.Endo:
     big = std_basis(n)
     sk = alphabet("S_K", n)
     word = []
-    for _ in range(rng.randint(0, word_len)):
+    for _ in range(rng.randint(0, 4)):
         t = rng.choice(sk)
         word.append(t if rng.random() < 0.5 else token_inv(t))
     return interpret(tuple(word), big)
@@ -143,7 +145,7 @@ def random_element(group: ExtGroup, rng: Random) -> ExtElement:
     return ExtElement(random_kernel(group.n, rng), random_q(group.n, rng))
 
 
-def cocycle_check(group: ExtGroup, samples: int = 100, seed: int = 0x5EED) -> list:
+def cocycle_check(group: ExtGroup, samples: int = 100, seed: int = DEFAULT_SEED) -> list:
     """Verify the two identities that make ext_mul associative.
 
     Returns a failure list of (identity-name, witness) pairs; empty means
@@ -278,7 +280,7 @@ class SplicedGroup:
 
 
 def splice_associativity_check(group: SplicedGroup, samples: int = 100,
-                               seed: int = 0x5EED) -> list:
+                               seed: int = DEFAULT_SEED) -> list:
     """Sample triples for associativity; a non-bilinear table (or one that
     does not respect the torsion moduli) shows up here."""
     rng = Random(seed)

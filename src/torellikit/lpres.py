@@ -720,23 +720,33 @@ def s1prime_instances(n: int, k: int) -> Iterator[RelationInstance]:
                     yield _inst("S1'", (xa, d, xb, e), b, _comm(t1, t2))
 
 
+# kind -> (builder, lowest k).  A catalog with no lowest k never reads k:
+# it works over k = 1 and its builder takes n alone.
 _CATALOGS = {
-    "nielsen": lambda n, k: nielsen_relators(n),
-    "jensen_wahl": lambda n, k: jensen_wahl_relators(n),
-    "rk0": lambda n, k: rk0_instances(n),
-    "zn": lambda n, k: zn_relators(n),
-    "table1": table1_instances,
-    "s1prime": s1prime_instances,
+    "nielsen": (nielsen_relators, None),
+    "jensen_wahl": (jensen_wahl_relators, None),
+    "rk0": (rk0_instances, None),
+    "zn": (zn_relators, None),
+    "table1": (table1_instances, 1),
+    "s1prime": (s1prime_instances, 1),
 }
 
 
 def relation_catalog(kind: str, n: int, k: int = 1) -> Iterator[RelationInstance]:
-    """Exhaustively enumerate a relation family's instances."""
+    """Exhaustively enumerate a relation family's instances.  A ``k`` the
+    catalog never reads, or one below its lowest, raises ``ValueError``."""
     if kind not in _CATALOGS:
         raise ValueError(f"unknown catalog {kind!r}; have {sorted(_CATALOGS)}")
     if n < 2:
         raise ValueError("catalogs need n >= 2")
-    return iter(_CATALOGS[kind](n, k))
+    build, lowest_k = _CATALOGS[kind]
+    if lowest_k is None:
+        if k != 1:
+            raise ValueError(f"{kind} works over k = 1, got {k}")
+        return iter(build(n))
+    if k < lowest_k:
+        raise ValueError(f"{kind} needs k >= {lowest_k}")
+    return iter(build(n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -750,15 +760,19 @@ def genset_reduce(t, allowed, n: int) -> SymWord:
     one representative Mc[a^alpha, y^eps, b^beta] kept for that pair.  The
     rewrites used are the three sign-flipping relation families (third
     letter, middle letter, first letter), so the result interprets to the
-    same automorphism.
+    same automorphism.  Conjugation moves and their inverses come back
+    unchanged; a token outside S_K^{+-1}, or the inverse of a commutator
+    transvection, raises ``ValueError``.
     """
+    if not in_alphabet(t, "S_K", n):
+        raise ValueError(f"not an S_K token: {t!r}")
     basis = std_basis(n)
     y = basis.y(1)
     if t[0] != "Mc":
         return SymWord(basis, (t,))
-    (a, al), (p, ps), (q, qs) = t[1], t[2], t[3]
-    if p != y:
+    if not is_generator(t, "S_K", n):
         raise ValueError("expected an S_K commutator transvection")
+    (a, al), (_, ps), (q, qs) = t[1], t[2], t[3]
     rep = allowed[(a, q)]
     (_, ral), (_, rps), (_, rqs) = rep[1], rep[2], rep[3]
 

@@ -119,10 +119,10 @@ def random_unimodular(n: int, rng, bound: int = 5, steps: int = 12) -> tuple:
     return tuple(tuple(row) for row in mat)
 
 
-def random_stabilizer(n: int, rng, bound: int = 5) -> tuple:
-    """A pseudorandom (n+1)x(n+1) stabilizer matrix with bounded entries."""
-    block = random_unimodular(n, rng, bound)
-    row = tuple(rng.randint(-bound, bound) for _ in range(n))
+def random_stabilizer(n: int, rng) -> tuple:
+    """A pseudorandom (n+1)x(n+1) stabilizer matrix, entries within +-5."""
+    block = random_unimodular(n, rng, 5)
+    row = tuple(rng.randint(-5, 5) for _ in range(n))
     mat = [list(block[i]) + [0] for i in range(n)]
     mat.append(list(row) + [1])
     return tuple(tuple(r) for r in mat)

@@ -12,6 +12,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from random import Random
+from typing import Callable, NamedTuple
 
 from . import autos, extension, intmat, lpres, semidirect, twisted
 from .symwords import (
@@ -24,9 +25,9 @@ from .symwords import (
     std_basis,
     token_inv,
 )
+from .twisted import DEFAULT_SEED
 from .words import Basis, Word, commutator
 
-DEFAULT_SEED = 0x5EED
 DEFAULT_SAMPLES = 100
 
 
@@ -115,32 +116,28 @@ def _inverse_pairs(kind, n) -> list:
             for s in signed_alphabet(kind, n)]
 
 
+def _holds(kind):
+    """A suite whose cases are the instances of catalog ``kind``, each
+    interpreting to the identity."""
+    def cases(n, k, samples, seed):
+        return _instances_hold(lpres.relation_catalog(kind, n, k))
+    return cases
+
+
+def _trivial(source):
+    """A suite whose cases are words each acting trivially through phi:
+    the instances of a catalog kind, or an alphabet's inverse pairs."""
+    def cases(n, k, samples, seed):
+        if source in lpres._CATALOGS:
+            words = _named_words(lpres.relation_catalog(source, n))
+        else:
+            words = _inverse_pairs(source, n)
+        return _acts_trivially(n, words)
+    return cases
+
+
 # ---------------------------------------------------------------------------
 # individual suites
-
-
-def _suite_table1(n, k, samples, seed):
-    return _instances_hold(lpres.table1_instances(n, k))
-
-
-def _suite_gamma_rel(n, k, samples, seed):
-    return _instances_hold(lpres.rk0_instances(n))
-
-
-def _suite_phi_inverse_a(n, k, samples, seed):
-    return _acts_trivially(n, _inverse_pairs("S_A", n))
-
-
-def _suite_phi_inverse_z(n, k, samples, seed):
-    return _acts_trivially(n, _inverse_pairs("S_Z", n))
-
-
-def _suite_phi_nielsen(n, k, samples, seed):
-    return _acts_trivially(n, _named_words(lpres.nielsen_relators(n)))
-
-
-def _suite_phi_zn(n, k, samples, seed):
-    return _acts_trivially(n, _named_words(lpres.zn_relators(n)))
 
 
 def _suite_phi_conj(n, k, samples, seed):
@@ -389,48 +386,33 @@ def _suite_magnus_oracle(n, k, samples, seed):
         yield _case(f"triple-commutator-invariance.{i}", ok)
 
 
-# name -> (suite, default parameters).  A suite that reads k names its
-# default k; every other works over F_{n,1}.
-_SUITES = {
-    "table1": (_suite_table1, dict(n=3, k=3)),
-    "phi-conj": (_suite_phi_conj, dict(n=4)),
-    "phi-inverse-A": (_suite_phi_inverse_a, dict(n=4)),
-    "phi-nielsen": (_suite_phi_nielsen, dict(n=4)),
-    "phi-inverse-Z": (_suite_phi_inverse_z, dict(n=4)),
-    "phi-zn": (_suite_phi_zn, dict(n=4)),
-    "lambda-zrel": (_suite_lambda_zrel, dict(n=3)),
-    "tb3": (_suite_tb3, dict(n=3)),
-    "lambda-arel": (_suite_lambda_arel, dict(n=3)),
-    "gamma-rel": (_suite_gamma_rel, dict(n=4)),
-    "extension": (_suite_extension, dict(n=2)),
-    "jw-delta": (_suite_jw_delta, dict(n=3)),
-    "johnson": (_suite_johnson, dict(n=3, k=2)),
-    "stab-psi": (_suite_stab_psi, dict(n=3)),
-    "magnus-oracle": (_suite_magnus_oracle, dict(n=3, k=2)),
-}
+class _Suite(NamedTuple):
+    cases: Callable  # (n, k, samples, seed) -> case dicts
+    defaults: dict   # names a default k only if the suite reads k
+    lowest: dict     # lower bounds on the parameters, checked before it starts
 
-# lower bounds on parameters, checked before a suite starts.  Every suite
-# has one on n: the alphabets, the seed relations and the conjugation table
-# start at n = 2, and the other suites would check F_{0,k} vacuously.
-# Every suite also needs samples >= 1 (checked in run_suite): a suite that
-# draws samples would pass vacuously, and the others would report a count
-# they never read.
-_LIMITS = {
-    "table1": dict(n=2),
-    "phi-conj": dict(n=2),
-    "phi-inverse-A": dict(n=2),
-    "phi-nielsen": dict(n=2),
-    "phi-inverse-Z": dict(n=2),
-    "phi-zn": dict(n=2),
-    "lambda-zrel": dict(n=2),
-    "tb3": dict(n=2),
-    "lambda-arel": dict(n=2),
-    "gamma-rel": dict(n=2),
-    "extension": dict(n=2),
-    "jw-delta": dict(n=2),
-    "johnson": dict(n=1, k=1),
-    "stab-psi": dict(n=1),
-    "magnus-oracle": dict(n=1),
+
+# Every suite has a lowest n: the alphabets, the seed relations and the
+# conjugation table start at n = 2, and the other suites would check F_{0,k}
+# vacuously.  A suite with no default k works over F_{n,1}.  Every suite
+# also needs samples >= 1 (checked in run_suite): a suite that draws samples
+# would pass vacuously, and the others would report a count they never read.
+_SUITES = {
+    "table1": _Suite(_holds("table1"), dict(n=3, k=3), dict(n=2, k=1)),
+    "phi-conj": _Suite(_suite_phi_conj, dict(n=4), dict(n=2)),
+    "phi-inverse-A": _Suite(_trivial("S_A"), dict(n=4), dict(n=2)),
+    "phi-nielsen": _Suite(_trivial("nielsen"), dict(n=4), dict(n=2)),
+    "phi-inverse-Z": _Suite(_trivial("S_Z"), dict(n=4), dict(n=2)),
+    "phi-zn": _Suite(_trivial("zn"), dict(n=4), dict(n=2)),
+    "lambda-zrel": _Suite(_suite_lambda_zrel, dict(n=3), dict(n=2)),
+    "tb3": _Suite(_suite_tb3, dict(n=3), dict(n=2)),
+    "lambda-arel": _Suite(_suite_lambda_arel, dict(n=3), dict(n=2)),
+    "gamma-rel": _Suite(_holds("rk0"), dict(n=4), dict(n=2)),
+    "extension": _Suite(_suite_extension, dict(n=2), dict(n=2)),
+    "jw-delta": _Suite(_suite_jw_delta, dict(n=3), dict(n=2)),
+    "johnson": _Suite(_suite_johnson, dict(n=3, k=2), dict(n=1, k=1)),
+    "stab-psi": _Suite(_suite_stab_psi, dict(n=3), dict(n=1)),
+    "magnus-oracle": _Suite(_suite_magnus_oracle, dict(n=3, k=2), dict(n=1)),
 }
 
 
@@ -443,22 +425,22 @@ def run_suite(name: str, n: int | None = None, k: int | None = None,
     """Run one named suite; parameters default per suite."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; have {suite_names()}")
-    fn, defaults = _SUITES[name]
-    n = defaults["n"] if n is None else n
-    if "k" not in defaults and k not in (None, 1):
+    suite = _SUITES[name]
+    n = suite.defaults["n"] if n is None else n
+    if "k" not in suite.defaults and k not in (None, 1):
         # a k the suite never reads would still be written into its report
         raise ValueError(f"{name} works over k = 1, got {k}")
-    k = defaults.get("k", 1) if k is None else k
+    k = suite.defaults.get("k", 1) if k is None else k
     samples = DEFAULT_SAMPLES if samples is None else samples
     seed = DEFAULT_SEED if seed is None else seed
     params = {"n": n, "k": k, "samples": samples, "seed": seed}
-    for key, low in _LIMITS.get(name, {}).items():
+    for key, low in suite.lowest.items():
         if params[key] < low:
             raise ValueError(f"{name} needs {key} >= {low}")
     if samples < 1:
         raise ValueError(f"{name} needs samples >= 1")
     started = time.monotonic()
-    report = SuiteReport(name, params, list(fn(n, k, samples, seed)))
+    report = SuiteReport(name, params, list(suite.cases(n, k, samples, seed)))
     report.elapsed_ms = (time.monotonic() - started) * 1000.0
     if not report.cases:
         raise ValueError(f"suite {name} produced no cases for {params}")

@@ -170,6 +170,13 @@ def test_genset_reduce():
             if tok[0] == "Mc":
                 base = tok if tok[2][0] == Y else token_inv(tok)
                 assert base in allowed.values()
+    # conjugation moves and their inverses pass through unchanged
+    for tok in (C(Y, 1), token_inv(C(1, Y))):
+        assert genset_reduce(tok, allowed, N).tokens == (tok,)
+    # a token outside S_K^{+-1}, or a commutator transvection's inverse, raises
+    for tok in (("P", 0, 8), M(0, 1, 1), token_inv(Mc(0, 1, Y, 1, 1, 1))):
+        with pytest.raises(ValueError):
+            genset_reduce(tok, {}, 3)
 
 
 def test_phi_fixes_relators_semantically():

@@ -118,6 +118,6 @@ def test_action_compatible_with_birman_sequence():
 def test_random_stabilizer_entries_bounded():
     rng = random.Random(3)
     for _ in range(50):
-        m = random_stabilizer(3, rng, bound=5)
+        m = random_stabilizer(3, rng)
         assert all(abs(x) <= 5 for row in m for x in row)
         assert intmat.det(m) in (1, -1)

@@ -204,6 +204,11 @@ def test_cli_usage_errors(tmp_path, capsys):
         (["certify", "--file", example, "--depth", str(MAX_DEPTH + 1)],
          f"--depth must be at most {MAX_DEPTH}, got {MAX_DEPTH + 1}"),
         (["catalog", "--dump", "rk0", "--n", "1"], "n >= 2"),
+        (["catalog", "--dump", "rk0", "--n", "2", "--k", "7"],
+         "rk0 works over k = 1, got 7"),
+        (["catalog", "--dump", "s1prime", "--n", "3", "--k", "0"],
+         "s1prime needs k >= 1"),
+        (["verify", "--suite", "table1", "--k", "0"], "table1 needs k >= 1"),
         (["verify", "--suite", "johnson", "--n", "2", "--k", "0",
           "--samples", "2"], "johnson needs k >= 1"),
         (["verify", "--suite", "stab-psi", "--n", "0"], "stab-psi needs n >= 1"),
@@ -237,8 +242,8 @@ def test_cli_usage_errors(tmp_path, capsys):
         assert err == f"error: {suite} needs n >= {low}\n", err
     # a suite with no default k works over k = 1; any other k would be
     # reported without being used
-    for suite, (_, defaults) in _SUITES.items():
-        if "k" in defaults:
+    for suite, row in _SUITES.items():
+        if "k" in row.defaults:
             continue
         assert main(["verify", "--suite", suite, "--k", "0"]) == 2
         err = capsys.readouterr().err
