@@ -10,7 +10,6 @@ from torellikit import (
     Basis,
     classify,
     commutator,
-    compose,
     conjugation,
     is_conjugate,
     swap,
@@ -39,7 +38,7 @@ print()
 
 # Composition applies the right factor first; inversion reverses the
 # factorization, inverting each named factor by its own rule.
-f = compose(m, c, swap(b, b.x(1), b.x(2)))
+f = m * c * swap(b, b.x(1), b.x(2))
 print("composite:               ", f)
 print("f * f^-1 is the identity?", (f * f.inverse()).is_identity)
 print()

@@ -21,7 +21,6 @@ from .words import Basis, Word, commutator, conjugate, is_conjugate
 from .autos import (
     Endo,
     classify,
-    compose,
     conjugation,
     expected_johnson_rank,
     identity,
@@ -42,7 +41,6 @@ __all__ = [
     "Endo",
     "classify",
     "commutator",
-    "compose",
     "conjugate",
     "conjugation",
     "expected_johnson_rank",

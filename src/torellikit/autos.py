@@ -7,8 +7,8 @@ inversion possible without any Whitehead-style search: each named factor
 inverts by its own rule, and :meth:`Endo.inverse` folds the inverted atoms
 in reverse order.
 
-Composition convention: ``compose(f, g)`` (also ``f * g``) applies ``g``
-first, so ``(f * g)(w) = f(g(w))`` and products act on the left.
+Composition convention: ``f * g`` applies ``g`` first, so
+``(f * g)(w) = f(g(w))`` and products act on the left.
 
 Composition builds only what changed: where ``g`` sends a generator to a
 generator, ``f * g`` reuses ``f``'s image word.  So composing with a
@@ -31,10 +31,15 @@ thousands of letters each; a shorter block pops its cancelled letters one
 at a time, which costs less than starting the scan.
 :meth:`Endo.apply` and :meth:`Endo.__mul__` compose through it, and so does
 ``_fold``, which multiplies a sequence of automorphisms given only by the
-images they move, on one list of image letter tuples.  Both
-:func:`torellikit.symwords.interpret` (the moved images of each token) and
-:meth:`Endo.inverse` (the moved images of each inverted atom, written in
-closed form from the shared letters) are that fold.
+images they move, on one list of image letter tuples.
+
+``_atom_moves`` is the one statement of the elementary images: the images
+a factor atom moves, in closed form from the shared letters.
+:func:`transvection`, :func:`conjugation`, :func:`swap` and
+:func:`inversion` validate their arguments and build from their atom
+through it, and ``_fold`` reads it for each token in
+:func:`torellikit.symwords.interpret` and for each inverted atom in
+:meth:`Endo.inverse`.
 """
 
 from __future__ import annotations
@@ -305,7 +310,8 @@ def _atom_inverse(atom):
 
 def _atom_moves(atom) -> tuple:
     """The moved images of a factor atom, as ``_fold`` reads them, in
-    closed form from the shared letters."""
+    closed form from the shared letters: the one statement of the
+    elementary images (see the module docstring)."""
     tag = atom[0]
     if tag == "M":
         _, z, alpha, v_letters = atom
@@ -322,6 +328,22 @@ def _atom_moves(atom) -> tuple:
     return ((atom[1], (_LETTERS[(atom[1], -1)],)),)
 
 
+def _check_codes(basis: Basis, *codes) -> None:
+    for code in codes:
+        if not 0 <= code < basis.size:
+            raise ValueError(f"generator code {code} out of range for {basis}")
+
+
+def _elementary(basis: Basis, atom) -> Endo:
+    """The automorphism of one factor atom, its images read from
+    ``_atom_moves``."""
+    # identity first: it enters the generators' letters that the moves read
+    images = list(identity(basis).images)
+    for code, letters in _atom_moves(atom):
+        images[code] = _word(basis, letters)
+    return _endo(basis, tuple(images), (atom,))
+
+
 def transvection(basis: Basis, z: int, alpha: int, v: Word) -> Endo:
     """M_{z^alpha, v}: multiplies z by v on the side selected by alpha.
 
@@ -335,10 +357,8 @@ def transvection(basis: Basis, z: int, alpha: int, v: Word) -> Endo:
         raise ValueError("v over the wrong basis")
     if v.mentions(z):
         raise ValueError(f"transvection word mentions {basis.gen_name(z)}")
-    images = list(identity(basis).images)
-    zword = images[z]
-    images[z] = v * zword if alpha == 1 else zword * v.inv()
-    return Endo(basis, images, (("M", z, alpha, v.letters),))
+    _check_codes(basis, z)
+    return _elementary(basis, ("M", z, alpha, v.letters))
 
 
 def conjugation(basis: Basis, z: int, zp: int, gamma: int = 1) -> Endo:
@@ -347,10 +367,8 @@ def conjugation(basis: Basis, z: int, zp: int, gamma: int = 1) -> Endo:
         raise ValueError("conjugation needs distinct generators")
     if gamma not in (1, -1):
         raise ValueError("gamma must be +-1")
-    images = list(identity(basis).images)
-    conj = Word(basis, ((zp, gamma),))
-    images[z] = conj * images[z] * conj.inv()
-    return Endo(basis, images, (("C", z, zp, gamma),))
+    _check_codes(basis, z, zp)
+    return _elementary(basis, ("C", z, zp, gamma))
 
 
 def swap(basis: Basis, a: int, b: int) -> Endo:
@@ -359,28 +377,14 @@ def swap(basis: Basis, a: int, b: int) -> Endo:
         raise ValueError("swap needs distinct generators")
     if not (basis.is_x(a) and basis.is_x(b)):
         raise ValueError("swap acts on x-generators")
-    images = list(identity(basis).images)
-    images[a], images[b] = images[b], images[a]
-    return Endo(basis, images, (("P", min(a, b), max(a, b)),))
+    return _elementary(basis, ("P", min(a, b), max(a, b)))
 
 
 def inversion(basis: Basis, a: int) -> Endo:
     """Send x_a to its inverse, fixing the other generators."""
     if not basis.is_x(a):
         raise ValueError("inversion acts on x-generators")
-    images = list(identity(basis).images)
-    images[a] = images[a].inv()
-    return Endo(basis, images, (("I", a),))
-
-
-def compose(*endos: Endo) -> Endo:
-    """Compose any number of endomorphisms, rightmost applied first."""
-    if not endos:
-        raise ValueError("compose needs at least one endomorphism")
-    out = endos[0]
-    for f in endos[1:]:
-        out = out * f
-    return out
+    return _elementary(basis, ("I", a))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ expected one, and cross-checks that start and expected word interpret to
 the same automorphism.
 
 The rank in the header is at most ``MAX_RANK``; a larger one is a parse
-error.  ``torellikit certify`` takes a depth of at most ``MAX_DEPTH``.
+error.  The depth is at least 0 and at most ``MAX_DEPTH``; the checker
+raises ``ValueError`` on any other before it parses or builds anything.
 An insertion that is not an inverse pair is looked up level by level in an
 index of the relator closure.  Level 0 holds the seed relation instances
 (98, 918, 3852, 25470 and 91448 of them at n = 2, 3, 4, 6 and 8), and
@@ -204,10 +205,17 @@ def _relator_closure_member(word: SymWord, n: int, depth: int) -> bool:
     return False
 
 
+def _check_depth(depth: int) -> None:
+    if not 0 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth {depth} out of range 0..{MAX_DEPTH}")
+
+
 def check_certificate(source: str, path: str = "<certificate>",
                       depth: int = 1) -> CertReport:
     """Parse, validate and replay a certificate; a parse error is reported
-    as a failed check."""
+    as a failed check.  A depth outside 0..``MAX_DEPTH`` raises
+    ``ValueError`` before the parse."""
+    _check_depth(depth)
     try:
         cert = parse_certificate(source)
     except CertificateError as exc:
@@ -217,7 +225,9 @@ def check_certificate(source: str, path: str = "<certificate>",
 
 def replay_certificate(cert: Certificate, path: str = "<certificate>",
                        depth: int = 1) -> CertReport:
-    """Validate and replay a parsed certificate; see the module docstring."""
+    """Validate and replay a parsed certificate; see the module docstring.
+    A depth outside 0..``MAX_DEPTH`` raises ``ValueError``."""
+    _check_depth(depth)
     report = CertReport(path=path, ok=True)
     basis = std_basis(cert.n)
     current = cert.start

@@ -85,14 +85,6 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "certify":
-        if args.depth < 0:
-            print(f"error: --depth must be at least 0, got {args.depth}",
-                  file=sys.stderr)
-            return 2
-        if args.depth > certificates.MAX_DEPTH:
-            print(f"error: --depth must be at most {certificates.MAX_DEPTH}, "
-                  f"got {args.depth}", file=sys.stderr)
-            return 2
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
                 cert = certificates.parse_certificate(fh.read())
@@ -102,8 +94,12 @@ def main(argv=None) -> int:
         except (UnicodeDecodeError, certificates.CertificateError) as exc:
             print(f"error: {args.file}: {exc}", file=sys.stderr)
             return 2
-        report = certificates.replay_certificate(cert, path=args.file,
-                                                 depth=args.depth)
+        try:
+            report = certificates.replay_certificate(cert, path=args.file,
+                                                     depth=args.depth)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(report.summary())
         return 0 if report.ok else 1
 

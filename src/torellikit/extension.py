@@ -30,7 +30,7 @@ from weakref import WeakKeyDictionary
 from . import autos
 from .semidirect import QElement, aut_act_on_Zn, semi_inv, semi_mul
 from .symwords import (
-    alphabet, interpret, is_generator, signed_alphabet, std_basis, token_inv,
+    C, alphabet, interpret, is_generator, signed_alphabet, std_basis, token_inv,
 )
 from .twisted import (
     DEFAULT_SEED, _twisted_commutator, aut_basis, interpret_aut, iota1, iota2,
@@ -199,9 +199,7 @@ def phi_inverse_gen(tok, group: ExtGroup) -> ExtElement:
     y_part = ExtElement(group.kernel_identity, QElement(e_a, qid))
     if alpha == 1:
         return y_part
-    con = ExtElement(
-        interpret((("C", (a, 1), (y, 1)),), big), QElement(zero, qid)
-    )
+    con = ExtElement(interpret((C(a, y),), big), QElement(zero, qid))
     return ext_mul(group, con, ext_inv(group, y_part))
 
 

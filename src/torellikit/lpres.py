@@ -56,14 +56,14 @@ def _relabel(tok, perm_sign):
 
     tag = tok[0]
     if tag == "M":
-        return ("M", letter(tok[1]), letter(tok[2]))
+        return M(*letter(tok[1]), *letter(tok[2]))
     if tag == "C":
         (u, _), w = tok[1], tok[2]
         nu, _ = perm_sign(u)
         return C(nu, *letter(w))
     if tag == "Mc":
         a, p, q = (letter(x) for x in tok[1:])
-        return ("Mc", a, p, q)
+        return Mc(*a, *p, *q)
     raise ValueError(f"cannot relabel {tok!r}")
 
 
@@ -238,8 +238,6 @@ def _phi_signed(table, s, tok, n: int) -> tuple:
 def phi_apply(s, word, n: int):
     """Extend phi_gen over a word of S_K tokens (an endomorphism of the
     free group on S_K)."""
-    if isinstance(word, SymWord):
-        word = word.tokens
     table = _PHI_SIGNED.get((n, s))
     if table is None:
         table = _PHI_SIGNED.setdefault((n, s), {})
@@ -259,8 +257,6 @@ def phi_word(u, w, n: int) -> SymWord:
     ``u -> phi(u)`` is a monoid homomorphism into End(F(S_K)).
     """
     basis = std_basis(n)
-    if isinstance(u, SymWord):
-        u = u.tokens
     tokens = w.tokens if isinstance(w, SymWord) else tuple(w)
     for s in reversed(u):
         tokens = phi_apply(s, tokens, n)
@@ -442,7 +438,7 @@ def nielsen_relators(n: int) -> Iterator[RelationInstance]:
             for be in signs:
                 lhs = (
                     M(p, -al, q, be),
-                    ("M", (q, be), (p, al)),
+                    M(q, be, p, al),
                     M(p, al, q, -be),
                 )
                 rhs = (I(q), P(p, q)) if al == be else (P(p, q), I(q))
@@ -468,12 +464,8 @@ def nielsen_relators(n: int) -> Iterator[RelationInstance]:
             for al in signs:
                 for be in signs:
                     for g in signs:
-                        lhs = (("M", (q, be), (p, al)), ("M", (r, g), (q, be)))
-                        rhs = (
-                            ("M", (r, g), (q, be)),
-                            ("M", (q, be), (p, al)),
-                            ("M", (r, g), (p, al)),
-                        )
+                        lhs = (M(q, be, p, al), M(r, g, q, be))
+                        rhs = (M(r, g, q, be), M(q, be, p, al), M(r, g, p, al))
                         yield _inst("N5", (p, q, r, al, be, g), b, _eq(lhs, rhs))
 
 

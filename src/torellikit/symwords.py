@@ -143,14 +143,6 @@ class SymWord:
     def inv(self) -> "SymWord":
         return SymWord(self.basis, tokens_inv(self.tokens))
 
-    def __pow__(self, e: int) -> "SymWord":
-        if e < 0:
-            return self.inv() ** (-e)
-        out = SymWord(self.basis, ())
-        for _ in range(e):
-            out = out * self
-        return out
-
     def __str__(self):
         return format_word(self.tokens, self.basis)
 
@@ -254,8 +246,8 @@ def in_alphabet(tok, kind: str, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # interpretation as automorphisms
 
-# (basis, token) -> (the token's automorphism, its moved images): each
-# moved image is a pair (code, letters) for a generator the token does not fix
+# (basis, token) -> (the token's automorphism, its moved images as
+# ``autos._atom_moves`` states them for the token's one atom)
 _ENDO_CACHE: dict = {}
 
 
@@ -282,9 +274,7 @@ def token_endo(tok, basis: Basis) -> autos.Endo:
         f = autos.inversion(basis, tok[1])
     else:
         raise ValueError(f"unknown token {tok!r}")
-    moved = tuple((code, w.letters) for code, w in enumerate(f.images)
-                  if w.letters != ((code, 1),))
-    _ENDO_CACHE[key] = (f, moved)
+    _ENDO_CACHE[key] = (f, autos._atom_moves(f.factors[0]))
     return f
 
 
@@ -299,8 +289,6 @@ def interpret(tokens, basis: Basis) -> autos.Endo:
     the end, whose factorization is the tokens' atoms in order.  A
     one-token word gives the token's cached automorphism itself.
     """
-    if isinstance(tokens, SymWord):
-        tokens = tokens.tokens
     if not tokens:
         return autos.identity(basis)
     if len(tokens) == 1:

@@ -51,17 +51,15 @@ def aut_basis(n: int) -> Basis:
 
 def interpret_aut(tokens, n: int) -> autos.Endo:
     """Interpret an S_A word as an automorphism of F_n (no y)."""
-    if isinstance(tokens, SymWord):
-        tokens = tokens.tokens
     return interpret(tokens, aut_basis(n))
 
 
 def iota1(f, n: int) -> autos.Endo:
     """Extend an automorphism of F_n to F_{n,1}, fixing y pointwise.
 
-    Accepts an S_A token word or an Endo of F_n.  An Endo lifts verbatim:
-    the x-codes of F_n and F_{n,1} agree, so its image letters are already
-    reduced, shared and in range, and its factor atoms only mention
+    Accepts a sequence of S_A tokens or an Endo of F_n.  An Endo lifts
+    verbatim: the x-codes of F_n and F_{n,1} agree, so its image letters are
+    already reduced, shared and in range, and its factor atoms only mention
     x-generators.
     """
     big = std_basis(n)
@@ -72,8 +70,7 @@ def iota1(f, n: int) -> autos.Endo:
         images = [_word(big, w.letters) for w in f.images]
         images.append(autos.identity(big).images[big.y(1)])
         return autos._endo(big, tuple(images), f.factors)
-    tokens = f.tokens if isinstance(f, SymWord) else tuple(f)
-    return interpret(tokens, big)
+    return interpret(f, big)
 
 
 def iota2(z, n: int) -> autos.Endo:
@@ -135,7 +132,7 @@ def _act_on_Zn(f, z, n: int) -> tuple:
     if isinstance(f, autos.Endo):
         return aut_act_on_Zn(f, tuple(z))
     z = tuple(z)
-    for tok in reversed(f.tokens if isinstance(f, SymWord) else tuple(f)):
+    for tok in reversed(f):
         z = aut_act_on_Zn(interpret_aut((tok,), n), z)
     return z
 
@@ -195,7 +192,7 @@ def tlambda1(f, w, n: int) -> SymWord:
     checked, not an assumption.
     """
     big = std_basis(n)
-    w = tuple(w.tokens) if isinstance(w, SymWord) else tuple(w)
+    w = tuple(w)
     if not w:
         return SymWord(big, ())
     if len(w) == 1:
@@ -216,7 +213,7 @@ def tlambda2(w, z, n: int) -> SymWord:
     :func:`tlambda1` through the canonical word for ``z``.
     """
     big = std_basis(n)
-    w = tuple(w.tokens) if isinstance(w, SymWord) else tuple(w)
+    w = tuple(w)
     if not w:
         return SymWord(big, ())
     if len(w) == 1:

@@ -101,7 +101,6 @@ def _new_letter(code, sign) -> tuple:
     if code != int(code):
         raise ValueError(f"generator code must be an integer, got {code}")
     code = int(code)
-    # setdefault keeps one shared tuple per letter even if two threads race
     plus = _LETTERS.setdefault((code, 1), (code, 1))
     minus = _LETTERS.setdefault((code, -1), (code, -1))
     _INVERSE.setdefault(plus, minus)
@@ -182,14 +181,6 @@ class Word:
 
     def inv(self) -> "Word":
         return _word(self.basis, _inverse_letters(self.letters))
-
-    def __pow__(self, e: int) -> "Word":
-        if e < 0:
-            return self.inv() ** (-e)
-        out = Word(self.basis, ())
-        for _ in range(e):
-            out = out * self
-        return out
 
     def __str__(self) -> str:
         if not self.letters:

@@ -2,8 +2,12 @@ import textwrap
 from functools import lru_cache
 from random import Random
 
+import pytest
+
 from torellikit import certificates
-from torellikit.certificates import MAX_RANK, check_certificate, parse_certificate
+from torellikit.certificates import (
+    MAX_DEPTH, MAX_RANK, check_certificate, parse_certificate, replay_certificate,
+)
 from torellikit.lpres import krel, phi_word, rk0_instances
 from torellikit.symwords import (
     M,
@@ -67,6 +71,23 @@ def test_depth_one_substitution_image_is_accepted():
     bad = check_certificate(text, depth=0)
     assert not bad.ok
     assert any("non-relator" in e for e in bad.errors)
+
+
+def test_depth_outside_the_bound_is_refused_before_any_work(monkeypatch):
+    def no_build(n, level):
+        raise AssertionError("a relator level was built")
+
+    monkeypatch.setattr(certificates, "_level", no_build)
+    r = krel(1, 2, a=1, b=2)
+    text = f"certificate v1; n=2\nstart: 1\ninsert @0: {r}\nexpect: {r}\n"
+    parsed = parse_certificate(text)
+    for depth in (-1, MAX_DEPTH + 1):
+        message = f"depth {depth} out of range 0..{MAX_DEPTH}"
+        for source in (text, "not a certificate"):
+            with pytest.raises(ValueError, match=message):
+                check_certificate(source, depth=depth)
+        with pytest.raises(ValueError, match=message):
+            replay_certificate(parsed, depth=depth)
 
 
 def test_non_relator_insertion_rejected():

@@ -200,9 +200,9 @@ def test_cli_usage_errors(tmp_path, capsys):
         (["certify", "--file", str(huge_rank)],
          f"{huge_rank}: line 1: rank 99999999 above the limit {MAX_RANK}"),
         (["certify", "--file", example, "--depth", "-1"],
-         "--depth must be at least 0"),
+         f"error: depth -1 out of range 0..{MAX_DEPTH}\n"),
         (["certify", "--file", example, "--depth", str(MAX_DEPTH + 1)],
-         f"--depth must be at most {MAX_DEPTH}, got {MAX_DEPTH + 1}"),
+         f"error: depth {MAX_DEPTH + 1} out of range 0..{MAX_DEPTH}\n"),
         (["catalog", "--dump", "rk0", "--n", "1"], "n >= 2"),
         (["catalog", "--dump", "rk0", "--n", "2", "--k", "7"],
          "rk0 works over k = 1, got 7"),

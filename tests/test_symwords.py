@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from torellikit.autos import Endo, classify, compose
+from torellikit.autos import Endo, classify
 from torellikit.symwords import (
+    _ENDO_CACHE,
     ALPHABETS,
     C,
     I,
@@ -114,8 +115,8 @@ def test_interpret_examples():
         w = SymWord(B, tuple(rng.choice(toks) for _ in range(rng.randint(0, 5))))
         assert interpret((w * w.inv()).tokens, B).is_identity
         v = SymWord(B, tuple(rng.choice(toks) for _ in range(rng.randint(0, 5))))
-        assert interpret((w * v).tokens, B) == compose(
-            interpret(w.tokens, B), interpret(v.tokens, B)
+        assert interpret((w * v).tokens, B) == (
+            interpret(w.tokens, B) * interpret(v.tokens, B)
         )
 
 
@@ -156,6 +157,20 @@ def test_interpret_matches_a_left_fold_of_full_compositions():
                 for img in f.images:
                     assert all(letter is _LETTERS[letter] for letter in img.letters)
                 assert (f.inverse() * f).is_identity
+
+
+def test_token_endo_caches_the_images_it_moves():
+    # the cached moved images are read from the token's atom; they must be
+    # exactly the images of its automorphism that differ from the identity
+    for n in (2, 3):
+        b = std_basis(n)
+        for kind in ALPHABETS:
+            for tok in signed_alphabet(kind, n):
+                f = token_endo(tok, b)
+                moved = tuple((code, w.letters) for code, w in enumerate(f.images)
+                              if w.letters != ((code, 1),))
+                cached, cached_moved = _ENDO_CACHE[(b, tok)]
+                assert cached is f and cached_moved == moved, format_token(tok, b)
 
 
 def test_interpret_carries_factorization():
