@@ -8,6 +8,9 @@ File format (line oriented, bit-exact)::
     ...
     expect: <symword|1>
 
+A certificate has exactly one ``start:`` and one ``expect:`` line; a
+second of either is a parse error.
+
 Every inserted word must be a valid relator instance: it reduces to the
 empty word (an inverse pair), matches a seed relation instance or its
 inverse, or is the image of one under the substitution rules driven by a
@@ -29,13 +32,14 @@ hash per relator and builds a level once per process, on the first
 insertion that misses every level below it.  Each hash hit is regenerated
 from its position and compared token for token, so the check stays exact.
 On a 2-core x86-64 machine with CPython 3.11 the one-time build took
-0.51 s at n = 3, depth 1 (33,966 relators), 26 s at n = 3, depth 2 (1.22M
-relators, 9.8 MB), 3.4 s at n = 4, depth 1 (258,084 relators, 2.1 MB) and
-2.4 s at n = 8, depth 0 (mostly the seed enumeration); level 2 alone
-would hold 16.8M relators (134 MB) at n = 4.  After the build, rejecting a
-non-relator, which scans every level, took 3.5 ms at n = 3, depth 1,
-111 ms at n = 3, depth 2, 27 ms at n = 4, depth 1 and 9 ms at n = 8,
-depth 0; a seed instance is found in under 0.1 ms at n = 3.
+0.19-0.30 s at n = 3, depth 1 (33,966 relators), 10.5 s at n = 3, depth 2
+(1.22M relators, 9.8 MB), 1.2-1.35 s at n = 4, depth 1 (258,084 relators,
+2.1 MB) and 1.3-1.6 s at n = 8, depth 0 (mostly the seed enumeration);
+level 2 alone would hold 16.8M relators (134 MB) at n = 4.  After the
+build, rejecting a non-relator, which scans every level, took 2.4-2.8 ms
+at n = 3, depth 1, 75-78 ms at n = 3, depth 2, 16-17 ms at n = 4, depth 1
+and 6-8 ms at n = 8, depth 0; a seed instance is found in under 0.1 ms at
+n = 3.
 """
 
 from __future__ import annotations
@@ -102,6 +106,7 @@ def parse_certificate(text: str) -> Certificate:
         raise CertificateError(f"line 1: rank {n} above the limit {MAX_RANK}")
     basis = std_basis(n)
     start = None
+    start_line = 0
     expect = None
     expect_line = 0
     steps = []
@@ -111,11 +116,24 @@ def parse_certificate(text: str) -> Certificate:
             continue
         try:
             if line.startswith("start:"):
+                if start is not None:
+                    raise CertificateError(
+                        f"line {lineno}: second 'start:' line (first on line {start_line})"
+                    )
                 start = parse_word(line[len("start:"):], basis)
+                start_line = lineno
             elif line.startswith("insert @"):
-                head, word = line[len("insert @"):].split(":", 1)
+                head, colon, word = line[len("insert @"):].partition(":")
+                if not colon:
+                    raise CertificateError(
+                        f"line {lineno}: expected 'insert @<pos>: <symword>'"
+                    )
                 steps.append((parse_word(word, basis), int(head), lineno))
             elif line.startswith("expect:"):
+                if expect is not None:
+                    raise CertificateError(
+                        f"line {lineno}: second 'expect:' line (first on line {expect_line})"
+                    )
                 body = line[len("expect:"):].strip()
                 if body == "empty":
                     body = "1"

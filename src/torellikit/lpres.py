@@ -12,6 +12,12 @@ Rule resolution order: swap/inversion relabeling, then the fixed cases,
 then the explicit rewrite rows.  A totality audit asserts every (s, t)
 shape resolves exactly once.
 
+``phi_apply(s, w, n)`` extends the rule of one letter over a token word
+and returns the image freely reduced: each token's image is entered
+reduced, and consecutive images cancel only where they meet.
+``phi_word`` applies a whole quotient word that way, one letter at a time,
+so each letter reads the reduced image of the letters before it.
+
 The side conditions of the ten seed relation families live only in
 ``krel``: ``rk0_instances`` runs every family over its full parameter
 domain and keeps what ``krel`` accepts.  Catalog order is part of the
@@ -31,6 +37,9 @@ from .symwords import (
     Mc,
     P,
     SymWord,
+    _push,
+    _reduce_tokens,
+    _symword,
     alphabet,
     in_alphabet,
     interpret,
@@ -216,28 +225,29 @@ def _phi_m_xx(a, alpha, b, beta, t, y):
     return (t,)  # Mc[x_c, y, x_b], Mc[x_c, y, x_d] are fixed
 
 
-# (n, s) -> {S_K token or inverse -> its phi image}
+# (n, s) -> {S_K token or inverse -> its freely reduced phi image}
 _PHI_SIGNED: dict = {}
 
 
 def _phi_signed(table, s, tok, n: int) -> tuple:
-    """Enter the image of ``tok`` in the table and return it.  An inverse
-    gets the inverse of its generator's image, which is entered too, so
-    ``phi_gen`` runs once per ``(n, s, t)``."""
+    """Enter the reduced image of ``tok`` in the table and return it.  An
+    inverse gets the inverse of its generator's image, which is entered
+    too, so ``phi_gen`` runs once per ``(n, s, t)``."""
     if is_generator(tok, "S_K", n):
-        image = table[tok] = phi_gen(s, tok, n)
+        image = table[tok] = _reduce_tokens(phi_gen(s, tok, n))
         return image
     gen = token_inv(tok)
     image = table.get(gen)
     if image is None:
-        image = table[gen] = phi_gen(s, gen, n)
+        image = table[gen] = _reduce_tokens(phi_gen(s, gen, n))
     image = table[tok] = tokens_inv(image)
     return image
 
 
-def phi_apply(s, word, n: int):
+def phi_apply(s, word, n: int) -> tuple:
     """Extend phi_gen over a word of S_K tokens (an endomorphism of the
-    free group on S_K)."""
+    free group on S_K).  The image is freely reduced: each token's image
+    is reduced, so images cancel only where they meet."""
     table = _PHI_SIGNED.get((n, s))
     if table is None:
         table = _PHI_SIGNED.setdefault((n, s), {})
@@ -246,7 +256,7 @@ def phi_apply(s, word, n: int):
         image = table.get(tok)
         if image is None:
             image = _phi_signed(table, s, tok, n)
-        out.extend(image)
+        _push(out, image)
     return tuple(out)
 
 
@@ -254,13 +264,15 @@ def phi_word(u, w, n: int) -> SymWord:
     """Apply the substitution rules of a whole S_Q word, innermost first.
 
     ``phi_word(u * v, w) == phi_word(u, phi_word(v, w))``: the map
-    ``u -> phi(u)`` is a monoid homomorphism into End(F(S_K)).
+    ``u -> phi(u)`` is a monoid homomorphism into End(F(S_K)).  Each
+    ``phi_apply`` returns reduced tokens, so only an empty ``u`` leaves
+    ``w`` to be reduced.
     """
     basis = std_basis(n)
     tokens = w.tokens if isinstance(w, SymWord) else tuple(w)
     for s in reversed(u):
         tokens = phi_apply(s, tokens, n)
-    return SymWord(basis, tokens)
+    return _symword(basis, tokens) if u else SymWord(basis, tokens)
 
 
 def audit_phi_totality(n: int) -> int:

@@ -15,10 +15,14 @@ inverses, ``M[z^a, v]^-1 = M[z^a, v^-1]``, ``C[u, w]^-1 = C[u, w^-1]``, and
 ``C`` token is dropped at construction: conjugating ``u`` or ``u^-1`` is
 the same automorphism.
 
-A :class:`SymWord` is a freely reduced token sequence.  The alphabets
-``S_A``, ``S_Z``, ``S_Q``, ``S_K``, ``S_C`` (all over the basis
-``x1..xn, y``) are each stated once, by the token list of :func:`alphabet`;
-membership (:func:`is_generator`, :func:`in_alphabet`) is read from it.
+A :class:`SymWord` is a freely reduced token sequence.  Products,
+inverses and relator insertions of reduced words cancel only where their
+pieces meet, so they are built without a second reduction pass.
+
+The alphabets ``S_A``, ``S_Z``, ``S_Q``, ``S_K``, ``S_C`` (all over the
+basis ``x1..xn, y``) are each stated once, by the token list of
+:func:`alphabet`; membership (:func:`is_generator`, :func:`in_alphabet`)
+is read from it.
 
 :func:`interpret` evaluates a token word as an automorphism by one fold
 over a list of image letter tuples (``autos._fold``, which also inverts
@@ -96,23 +100,46 @@ def tokens_inv(tokens) -> tuple:
     return tuple(token_inv(t) for t in reversed(tokens))
 
 
-# token -> its inverse, filled as tokens are met; the alphabets are finite
-_TOKEN_INV: dict = {}
+class _Inverses(dict):
+    """token -> its inverse; a token not yet met is entered on lookup."""
+
+    def __missing__(self, tok):
+        inv = self[tok] = token_inv(tok)
+        return inv
+
+
+# filled as tokens are met; the alphabets are finite
+_TOKEN_INV = _Inverses()
 
 
 def _reduce_tokens(tokens) -> tuple:
     out = []
     inverse = _TOKEN_INV
     for tok in tokens:
-        if out:
-            inv = inverse.get(tok)
-            if inv is None:
-                inv = inverse[tok] = token_inv(tok)
-            if out[-1] == inv:
-                out.pop()
-                continue
-        out.append(tok)
+        if out and out[-1] == inverse[tok]:
+            out.pop()
+        else:
+            out.append(tok)
     return tuple(out)
+
+
+def _push(out: list, block) -> None:
+    """Extend the reduced token list ``out`` by the reduced token sequence
+    ``block``: the two cancel only where they meet, so pop while the
+    block's next token is the inverse of the top, then extend the rest.
+
+    A token and its inverse share ``tok[1]``, so that is compared first
+    and the inverse is looked up only when it matches."""
+    k, m = 0, len(block)
+    inverse = _TOKEN_INV
+    while out and k < m:
+        head = block[k]
+        top = out[-1]
+        if top[1] != head[1] or top != inverse[head]:
+            break
+        out.pop()
+        k += 1
+    out.extend(block[k:] if k else block)
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +165,24 @@ class SymWord:
     def __mul__(self, other: "SymWord") -> "SymWord":
         if self.basis != other.basis:
             raise ValueError("cannot multiply words over different bases")
-        return SymWord(self.basis, self.tokens + other.tokens)
+        out = list(self.tokens)
+        _push(out, other.tokens)
+        return _symword(self.basis, tuple(out))
 
     def inv(self) -> "SymWord":
-        return SymWord(self.basis, tokens_inv(self.tokens))
+        return _symword(self.basis, tokens_inv(self.tokens))
 
     def __str__(self):
         return format_word(self.tokens, self.basis)
+
+
+def _symword(basis: Basis, tokens: tuple) -> SymWord:
+    """A word from tokens already freely reduced.  Internal paths build
+    through this; ``SymWord(...)`` reduces."""
+    w = object.__new__(SymWord)
+    object.__setattr__(w, "basis", basis)
+    object.__setattr__(w, "tokens", tokens)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +352,8 @@ def applyrels(start: SymWord, steps) -> SymWord:
 
     ``steps`` is a sequence of ``(insert, position)`` pairs; each position
     indexes into the token sequence of the *current* (already reduced) word,
-    so ``0 <= position <= len(word)`` at that step.
+    so ``0 <= position <= len(word)`` at that step.  The three reduced
+    pieces cancel only at their two junctions.
     """
     word = start
     for idx, (insert, pos) in enumerate(steps):
@@ -324,8 +363,10 @@ def applyrels(start: SymWord, steps) -> SymWord:
             raise ValueError(
                 f"step {idx}: position {pos} out of range 0..{len(word.tokens)}"
             )
-        tokens = word.tokens[:pos] + insert.tokens + word.tokens[pos:]
-        word = SymWord(word.basis, tokens)
+        out = list(word.tokens[:pos])
+        _push(out, insert.tokens)
+        _push(out, word.tokens[pos:])
+        word = _symword(word.basis, tuple(out))
     return word
 
 

@@ -7,6 +7,7 @@ from torellikit.lpres import (
     genset_reduce,
     krel,
     nielsen_relators,
+    phi_apply,
     phi_gen,
     phi_word,
     relation_catalog,
@@ -14,6 +15,7 @@ from torellikit.lpres import (
     verify_instance,
 )
 from torellikit.symwords import (
+    _reduce_tokens,
     C,
     M,
     Mc,
@@ -21,9 +23,11 @@ from torellikit.symwords import (
     SymWord,
     alphabet,
     interpret,
+    is_generator,
     signed_alphabet,
     std_basis,
     token_inv,
+    tokens_inv,
 )
 
 N = 3
@@ -74,6 +78,48 @@ def test_phi_word_monoid_homomorphism():
         assert phi_word(u + v, w, N).tokens == phi_word(
             u, phi_word(v, w, N), N
         ).tokens
+
+
+def _raw_phi(u, tokens, n):
+    """phi of a whole S_Q word by concatenating phi_gen images, innermost
+    letter first, reduced once at the end."""
+    for s in reversed(u):
+        raw = []
+        for tok in tokens:
+            if is_generator(tok, "S_K", n):
+                raw.extend(phi_gen(s, tok, n))
+            else:
+                raw.extend(tokens_inv(phi_gen(s, token_inv(tok), n)))
+        tokens = raw
+    return _reduce_tokens(tokens)
+
+
+def _is_reduced(tokens):
+    return all(b != token_inv(a) for a, b in zip(tokens, tokens[1:]))
+
+
+def test_phi_images_cancel_only_where_they_meet():
+    rng = random.Random(13)
+    for n in (2, 3, 4):
+        sq = signed_alphabet("S_Q", n)
+        sk = signed_alphabet("S_K", n)
+        for trial in range(120):
+            w = [rng.choice(sk) for _ in range(rng.randint(0, 8))]
+            for _ in range(rng.randint(0, 3)):  # planted inverse pairs
+                t = rng.choice(sk)
+                i = rng.randint(0, len(w))
+                w[i:i] = [t, token_inv(t)]
+            w = tuple(w)
+            if trial % 4 == 0:
+                w = w + tokens_inv(w)  # cancels in full
+            u = tuple(rng.choice(sq) for _ in range(rng.randint(0, 3)))
+            for s in sq[trial % len(sq)::40]:
+                out = phi_apply(s, w, n)
+                assert out == _raw_phi((s,), w, n) and _is_reduced(out)
+            out = phi_word(u, w, n).tokens
+            assert out == _raw_phi(u, w, n) and _is_reduced(out), (n, u, w)
+            if trial % 4 == 0:
+                assert out == ()
 
 
 def test_krel_examples_and_invalid_marker():

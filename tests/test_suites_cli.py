@@ -191,6 +191,12 @@ def test_cli_usage_errors(tmp_path, capsys):
     bad_index.write_text("certificate v1; n=2\nstart: 1\ninsert @0: I[9]\nexpect: 1\n")
     huge_rank = tmp_path / "rank.cert"
     huge_rank.write_text("certificate v1; n=99999999\nstart: 1\nexpect: 1\n")
+    no_colon = tmp_path / "colon.cert"
+    no_colon.write_text("certificate v1; n=2\nstart: 1\ninsert @0 C[y1,x1]\nexpect: 1\n")
+    two_starts = tmp_path / "starts.cert"
+    two_starts.write_text("certificate v1; n=2\nstart: 1\nstart: C[y1,x1]\nexpect: 1\n")
+    two_expects = tmp_path / "expects.cert"
+    two_expects.write_text("certificate v1; n=2\nstart: 1\nexpect: 1\n\nexpect: 1\n")
     example = str(Path(__file__).resolve().parent.parent / "demos" / "example.cert")
     for argv, message in (
         (["certify", "--file", "/nonexistent/path.cert"], "No such file"),
@@ -199,6 +205,12 @@ def test_cli_usage_errors(tmp_path, capsys):
          f"{bad_index}: line 3: x-index 9 out of range 1..2"),
         (["certify", "--file", str(huge_rank)],
          f"{huge_rank}: line 1: rank 99999999 above the limit {MAX_RANK}"),
+        (["certify", "--file", str(no_colon)],
+         f"error: {no_colon}: line 3: expected 'insert @<pos>: <symword>'\n"),
+        (["certify", "--file", str(two_starts)],
+         f"error: {two_starts}: line 3: second 'start:' line (first on line 2)\n"),
+        (["certify", "--file", str(two_expects)],
+         f"error: {two_expects}: line 5: second 'expect:' line (first on line 3)\n"),
         (["certify", "--file", example, "--depth", "-1"],
          f"error: depth -1 out of range 0..{MAX_DEPTH}\n"),
         (["certify", "--file", example, "--depth", str(MAX_DEPTH + 1)],

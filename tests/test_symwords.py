@@ -5,6 +5,7 @@ import pytest
 from torellikit.autos import Endo, classify
 from torellikit.symwords import (
     _ENDO_CACHE,
+    _reduce_tokens,
     ALPHABETS,
     C,
     I,
@@ -24,6 +25,7 @@ from torellikit.symwords import (
     std_basis,
     token_endo,
     token_inv,
+    tokens_inv,
 )
 from torellikit.words import _LETTERS, Basis, Word
 
@@ -203,6 +205,32 @@ def test_applyrels():
     assert grown.tokens == w.tokens + (C(2, Y),)
     with pytest.raises(ValueError):
         applyrels(w, [(r, 9)])
+
+
+def test_products_and_insertions_cancel_only_at_their_junctions():
+    rng = random.Random(17)
+    for n in (2, 3, 4):
+        basis = std_basis(n)
+        toks = signed_alphabet("S_K", n) + signed_alphabet("S_Q", n)
+
+        def word():
+            tokens = tuple(rng.choice(toks) for _ in range(rng.randint(0, 6)))
+            return SymWord(basis, tokens)
+
+        for trial in range(150):
+            a, b = word(), word()
+            if trial % 3 == 0:  # b starts with the inverse of a's tail
+                tail = a.tokens[rng.randint(0, len(a)):]
+                b = SymWord(basis, tokens_inv(tail) + b.tokens)
+            pos = rng.randint(0, len(a))
+            for got, raw in (
+                (a * b, a.tokens + b.tokens),
+                (a * a.inv(), ()),
+                (a.inv(), tokens_inv(a.tokens)),
+                (applyrels(a, [(b, pos)]), a.tokens[:pos] + b.tokens + a.tokens[pos:]),
+            ):
+                assert got.tokens == _reduce_tokens(raw)
+                assert all(y != token_inv(x) for x, y in zip(got.tokens, got.tokens[1:]))
 
 
 def test_applyrels_relator_insertion_preserves_interpretation():
