@@ -128,7 +128,14 @@ def parse_certificate(text: str) -> Certificate:
                     raise CertificateError(
                         f"line {lineno}: expected 'insert @<pos>: <symword>'"
                     )
-                steps.append((parse_word(word, basis), int(head), lineno))
+                word = parse_word(word, basis)
+                try:
+                    pos = int(head)
+                except ValueError:
+                    raise CertificateError(
+                        f"line {lineno}: insert position {head.strip()!r} is not an integer"
+                    ) from None
+                steps.append((word, pos, lineno))
             elif line.startswith("expect:"):
                 if expect is not None:
                     raise CertificateError(

@@ -3,12 +3,18 @@
 Every suite is a deterministic function of its parameters (rank, sample
 count, seed): case inputs come from a seeded generator, so repeated runs
 produce identical reports (the wall-time field aside).  Each suite is a
-generator of case results; cases run serially, in order.
+generator of case results, reported in order.  The four suites whose
+cases are words acting trivially through phi (``phi-nielsen``,
+``phi-inverse-A``, ``phi-inverse-Z``, ``phi-zn``) check their words on
+forked worker processes, one per available CPU (``_pool_map``); their
+reports, and so their digests, are the same as when run serially.  The
+other suites run their cases serially, in this process.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from random import Random
@@ -72,6 +78,52 @@ def _case(case_id, ok, witness=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# worker processes
+
+# chunks handed to each worker process: relator costs vary, so one chunk a
+# worker would leave one of them idle at the end
+_CHUNKS_PER_WORKER = 8
+
+
+def _pool_width(jobs: int) -> int:
+    """Worker processes for ``jobs`` jobs: one per CPU this process may run
+    on, never more than jobs."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, jobs)
+
+
+def _pool_map(fn, jobs: list) -> list:
+    """``list(map(fn, jobs))``, computed on forked worker processes.
+
+    ``fn`` is a module-level function and ``jobs`` pickle.  Workers are
+    forked, so they see the parent's state, caches and patches included.
+    The same ``map`` runs in this process when one worker would do, when
+    the platform cannot fork, when another thread runs (a fork copies only
+    the calling thread, so a lock held by another would stay held in the
+    workers), or when the pool cannot start.
+    """
+    width = _pool_width(len(jobs))
+    if width > 1:
+        import multiprocessing  # about 20 ms: only where a pool may start
+        import threading
+
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and threading.active_count() == 1):
+            try:
+                pool = multiprocessing.get_context("fork").Pool(width)
+            except OSError:
+                pass
+            else:
+                chunk = -(-len(jobs) // (width * _CHUNKS_PER_WORKER))
+                with pool:
+                    return pool.map(fn, jobs, chunk)
+    return list(map(fn, jobs))
+
+
+# ---------------------------------------------------------------------------
 # shared case kinds
 
 
@@ -96,12 +148,32 @@ def _psi_fixed_by(word, n, kernel):
     return None
 
 
+# n -> [(t, interpret((t,))) for each S_K generator t]
+_KERNELS: dict = {}
+
+
+def _kernel(n) -> list:
+    kernel = _KERNELS.get(n)
+    if kernel is None:
+        basis = std_basis(n)
+        kernel = _KERNELS[n] = [(t, interpret((t,), basis))
+                                for t in alphabet("S_K", n)]
+    return kernel
+
+
+def _moved_generator(job):
+    """The witness of one ``(n, word)`` job, or None."""
+    n, word = job
+    return _psi_fixed_by(word, n, _kernel(n))
+
+
 def _acts_trivially(n, relators):
-    """Cases: each ``(case id, word)`` acts trivially through phi."""
-    basis = std_basis(n)
-    kernel = [(t, interpret((t,), basis)) for t in alphabet("S_K", n)]
-    for case_id, word in relators:
-        witness = _psi_fixed_by(word, n, kernel)
+    """Cases: each ``(case id, word)`` acts trivially through phi.  The
+    words are checked by ``_pool_map``; the kernel list is built first, so
+    forked workers inherit it."""
+    _kernel(n)
+    witnesses = _pool_map(_moved_generator, [(n, word) for _, word in relators])
+    for (case_id, _), witness in zip(relators, witnesses):
         yield _case(case_id, witness is None, witness and f"moves {witness}")
 
 

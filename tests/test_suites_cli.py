@@ -193,6 +193,8 @@ def test_cli_usage_errors(tmp_path, capsys):
     huge_rank.write_text("certificate v1; n=99999999\nstart: 1\nexpect: 1\n")
     no_colon = tmp_path / "colon.cert"
     no_colon.write_text("certificate v1; n=2\nstart: 1\ninsert @0 C[y1,x1]\nexpect: 1\n")
+    bad_pos = tmp_path / "position.cert"
+    bad_pos.write_text("certificate v1; n=2\nstart: 1\ninsert @x: C[y1,x1]\nexpect: 1\n")
     two_starts = tmp_path / "starts.cert"
     two_starts.write_text("certificate v1; n=2\nstart: 1\nstart: C[y1,x1]\nexpect: 1\n")
     two_expects = tmp_path / "expects.cert"
@@ -207,6 +209,8 @@ def test_cli_usage_errors(tmp_path, capsys):
          f"{huge_rank}: line 1: rank 99999999 above the limit {MAX_RANK}"),
         (["certify", "--file", str(no_colon)],
          f"error: {no_colon}: line 3: expected 'insert @<pos>: <symword>'\n"),
+        (["certify", "--file", str(bad_pos)],
+         f"error: {bad_pos}: line 3: insert position 'x' is not an integer\n"),
         (["certify", "--file", str(two_starts)],
          f"error: {two_starts}: line 3: second 'start:' line (first on line 2)\n"),
         (["certify", "--file", str(two_expects)],
