@@ -3,12 +3,12 @@
 Every suite is a deterministic function of its parameters (rank, sample
 count, seed): case inputs come from a seeded generator, so repeated runs
 produce identical reports (the wall-time field aside).  Each suite is a
-generator of case results, reported in order.  The four suites whose
-cases are words acting trivially through phi (``phi-nielsen``,
-``phi-inverse-A``, ``phi-inverse-Z``, ``phi-zn``) check their words on
-forked worker processes, one per available CPU (``_pool_map``); their
-reports, and so their digests, are the same as when run serially.  The
-other suites run their cases serially, in this process.
+generator of case results, reported in order.  ``phi-nielsen`` checks
+its relators on forked worker processes, one per available CPU
+(``_pool_map``), when it has at least ``_POOL_MIN_JOBS`` of them; its
+report, and so its digest, is the same as when run serially.  The other
+suites run their cases serially, in this process: their jobs are too few
+or too cheap for the pool to win.
 """
 
 from __future__ import annotations
@@ -84,6 +84,11 @@ def _case(case_id, ok, witness=None) -> dict:
 # worker would leave one of them idle at the end
 _CHUNKS_PER_WORKER = 8
 
+# fewer jobs than this run in the process: on two cores the pool costs
+# about 40 ms to start, and phi-nielsen lost with its 28 relators at n=2
+# (22 -> 63 ms) and won with 192 at n=3 (0.59 -> 0.36 s)
+_POOL_MIN_JOBS = 100
+
 
 def _pool_width(jobs: int) -> int:
     """Worker processes for ``jobs`` jobs: one per CPU this process may run
@@ -100,18 +105,21 @@ def _pool_map(fn, jobs: list) -> list:
 
     ``fn`` is a module-level function and ``jobs`` pickle.  Workers are
     forked, so they see the parent's state, caches and patches included.
-    The same ``map`` runs in this process when one worker would do, when
-    the platform cannot fork, when another thread runs (a fork copies only
-    the calling thread, so a lock held by another would stay held in the
-    workers), or when the pool cannot start.
+    The same ``map`` runs in this process when there are fewer than
+    ``_POOL_MIN_JOBS`` jobs, when one worker would do, when the platform
+    cannot fork, when another thread runs (a fork copies only the calling
+    thread, so a lock held by another would stay held in the workers), in
+    a daemonic process (which may not start children), or when the pool
+    cannot start.
     """
-    width = _pool_width(len(jobs))
+    width = _pool_width(len(jobs)) if len(jobs) >= _POOL_MIN_JOBS else 1
     if width > 1:
         import multiprocessing  # about 20 ms: only where a pool may start
         import threading
 
         if ("fork" in multiprocessing.get_all_start_methods()
-                and threading.active_count() == 1):
+                and threading.active_count() == 1
+                and not multiprocessing.current_process().daemon):
             try:
                 pool = multiprocessing.get_context("fork").Pool(width)
             except OSError:
@@ -167,12 +175,13 @@ def _moved_generator(job):
     return _psi_fixed_by(word, n, _kernel(n))
 
 
-def _acts_trivially(n, relators):
-    """Cases: each ``(case id, word)`` acts trivially through phi.  The
+def _acts_trivially(n, relators, pooled=False):
+    """Cases: each ``(case id, word)`` acts trivially through phi.  Pooled
     words are checked by ``_pool_map``; the kernel list is built first, so
     forked workers inherit it."""
     _kernel(n)
-    witnesses = _pool_map(_moved_generator, [(n, word) for _, word in relators])
+    jobs = [(n, word) for _, word in relators]
+    witnesses = (_pool_map if pooled else map)(_moved_generator, jobs)
     for (case_id, _), witness in zip(relators, witnesses):
         yield _case(case_id, witness is None, witness and f"moves {witness}")
 
@@ -196,15 +205,20 @@ def _holds(kind):
     return cases
 
 
-def _trivial(source):
+def _trivial(source, pooled=False):
     """A suite whose cases are words each acting trivially through phi:
-    the instances of a catalog kind, or an alphabet's inverse pairs."""
+    the instances of a catalog kind, or an alphabet's inverse pairs.
+    Only a ``pooled`` suite checks its words on worker processes.  The
+    inverse pairs and ``zn`` lost on the pool at every rank tried (n = 2
+    to 7): their words are few and short, and much of their cost fills
+    caches that later words reuse (``phi-inverse-A`` at n = 7 takes 1.26 s
+    cold and 0.62 s warm), which each worker would fill again."""
     def cases(n, k, samples, seed):
         if source in lpres._CATALOGS:
             words = _named_words(lpres.relation_catalog(source, n))
         else:
             words = _inverse_pairs(source, n)
-        return _acts_trivially(n, words)
+        return _acts_trivially(n, words, pooled)
     return cases
 
 
@@ -473,7 +487,7 @@ _SUITES = {
     "table1": _Suite(_holds("table1"), dict(n=3, k=3), dict(n=2, k=1)),
     "phi-conj": _Suite(_suite_phi_conj, dict(n=4), dict(n=2)),
     "phi-inverse-A": _Suite(_trivial("S_A"), dict(n=4), dict(n=2)),
-    "phi-nielsen": _Suite(_trivial("nielsen"), dict(n=4), dict(n=2)),
+    "phi-nielsen": _Suite(_trivial("nielsen", pooled=True), dict(n=4), dict(n=2)),
     "phi-inverse-Z": _Suite(_trivial("S_Z"), dict(n=4), dict(n=2)),
     "phi-zn": _Suite(_trivial("zn"), dict(n=4), dict(n=2)),
     "lambda-zrel": _Suite(_suite_lambda_zrel, dict(n=3), dict(n=2)),

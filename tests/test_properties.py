@@ -27,12 +27,15 @@ INSERTS = st.one_of(
 )
 
 
+def test_every_signed_token_round_trips():
+    for n, tok in TOKENS:
+        basis = std_basis(n)
+        assert parse_token(format_token(tok, basis), basis) == tok
+
+
 @hypothesis.settings(max_examples=200, deadline=1000)
-@hypothesis.given(st.sampled_from(TOKENS), INSERTS)
-def test_tokens_round_trip_and_insert_lines_parse_or_are_refused(token, text):
-    n, tok = token
-    basis = std_basis(n)
-    assert parse_token(format_token(tok, basis), basis) == tok
+@hypothesis.given(INSERTS)
+def test_insert_lines_parse_or_are_refused(text):
     cert = f"certificate v1; n=2\nstart: 1\ninsert @{text}\nexpect: 1\n"
     try:
         parse_certificate(cert)

@@ -1,5 +1,5 @@
-"""The worker-process pool of the phi-trivial suites changes nothing but
-where their jobs run."""
+"""The worker-process pool of ``phi-nielsen`` changes nothing but where
+its jobs run, and no other phi-trivial suite starts it."""
 
 import json
 import multiprocessing
@@ -11,7 +11,7 @@ import pytest
 from torellikit import lpres, suites
 from torellikit.symwords import alphabet, signed_alphabet
 
-POOLED = ("phi-nielsen", "phi-inverse-A", "phi-inverse-Z", "phi-zn")
+PHI_TRIVIAL = ("phi-nielsen", "phi-inverse-A", "phi-inverse-Z", "phi-zn")
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -26,7 +26,9 @@ def _json(report) -> str:
 
 
 def _width(monkeypatch, width):
+    """Pool every job list that ``width`` workers can share."""
     monkeypatch.setattr(suites, "_pool_width", lambda jobs: min(width, jobs))
+    monkeypatch.setattr(suites, "_POOL_MIN_JOBS", 1)
 
 
 def _count_pools(monkeypatch) -> list:
@@ -56,9 +58,9 @@ def test_reports_are_the_same_at_width_one_and_two(monkeypatch, n):
     reports = {}
     for width in (1, 2):
         _width(monkeypatch, width)
-        reports[width] = [suites.run_suite(name, n=n) for name in POOLED]
-    # width 1 started none; width 2 one a suite with more than one case
-    assert started == [2] * sum(len(r.cases) > 1 for r in reports[2])
+        reports[width] = [suites.run_suite(name, n=n) for name in PHI_TRIVIAL]
+    # width 1 started none; width 2 one, for phi-nielsen alone
+    assert started == [2]
     assert list(map(_json, reports[1])) == list(map(_json, reports[2]))
 
 
@@ -95,18 +97,23 @@ def test_width_is_one_per_cpu_and_at_most_one_per_job(monkeypatch):
     assert suites._pool_width(3) == 1
 
 
-@pytest.mark.parametrize("cpus, methods, threads, error", [
-    (1, ["fork", "spawn"], 1, AssertionError),   # one CPU: no pool tried
-    (64, ["spawn"], 1, AssertionError),          # no fork: no pool tried
-    (64, ["fork", "spawn"], 2, AssertionError),  # another thread: no fork
-    (64, ["fork", "spawn"], 1, OSError),         # the pool cannot start
+@pytest.mark.parametrize("min_jobs, cpus, methods, threads, daemon, error", [
+    (4, 64, ["fork", "spawn"], 1, False, AssertionError),  # too few jobs
+    (1, 1, ["fork", "spawn"], 1, False, AssertionError),   # one CPU
+    (1, 64, ["spawn"], 1, False, AssertionError),          # no fork
+    (1, 64, ["fork", "spawn"], 2, False, AssertionError),  # another thread
+    (1, 64, ["fork", "spawn"], 1, True, AssertionError),   # a daemon
+    (1, 64, ["fork", "spawn"], 1, False, OSError),         # cannot start
 ])
-def test_serial_fallback_starts_no_process(monkeypatch, cpus, methods, threads,
-                                           error):
+def test_serial_fallback_starts_no_process(monkeypatch, min_jobs, cpus,
+                                           methods, threads, daemon, error):
+    monkeypatch.setattr(suites, "_POOL_MIN_JOBS", min_jobs)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
     monkeypatch.setattr(threading, "active_count", lambda: threads)
+    # a daemonic process may not start children: Pool raises AssertionError
+    monkeypatch.setattr(multiprocessing.current_process(), "daemon", daemon)
     _refuse_pools(monkeypatch, error)
     jobs = [(2, (s,)) for s in signed_alphabet("S_Q", 2)[:3]]
     assert suites._pool_map(suites._moved_generator, jobs) == [
