@@ -22,32 +22,35 @@ the same automorphism.
 The rank in the header is at most ``MAX_RANK``; a larger one is a parse
 error.  The depth is at least 0 and at most ``MAX_DEPTH``; the checker
 raises ``ValueError`` on any other before it parses or builds anything.
-An insertion that is not an inverse pair is looked up level by level in an
-index of the relator closure.  Level 0 holds the seed relation instances
-(98, 918, 3852, 25470 and 91448 of them at n = 2, 3, 4, 6 and 8), and
-level d the image of every level d - 1 relator under every letter of the
-signed quotient alphabet (q = 15, 36, 66, 153 and 276 letters at the same
-ranks), so level d holds seeds * q**d relators.  The index keeps one 8-byte
-hash per relator and builds a level once per process, on the first
-insertion that misses every level below it.  Each hash hit is regenerated
-from its position and compared token for token, so the check stays exact.
-On a 2-core x86-64 machine with CPython 3.11 the one-time build took
-0.19-0.30 s at n = 3, depth 1 (33,966 relators), 10.5 s at n = 3, depth 2
-(1.22M relators, 9.8 MB), 1.2-1.35 s at n = 4, depth 1 (258,084 relators,
-2.1 MB) and 1.3-1.6 s at n = 8, depth 0 (mostly the seed enumeration);
-level 2 alone would hold 16.8M relators (134 MB) at n = 4.  After the
-build, rejecting a non-relator, which scans every level, took 2.4-2.8 ms
-at n = 3, depth 1, 75-78 ms at n = 3, depth 2, 16-17 ms at n = 4, depth 1
-and 6-8 ms at n = 8, depth 0; a seed instance is found in under 0.1 ms at
-n = 3.
+An insertion that is not an inverse pair is looked up level by level.
+Level 0 is the set of seed relation instances (98, 918, 3852, 25470 and
+91448 of them at n = 2, 3, 4, 6 and 8), and level d holds the image of
+every level d - 1 relator under every letter of the signed quotient
+alphabet.  The rules commute with permutations of x1..xn and the seeds are
+closed under them (``lpres.orbit_plan``), so level d is indexed through
+eight representative letters, not all q of the alphabet (q = 15, 36, 66,
+153 and 276 at the same ranks): one 8-byte hash per image of a level d - 1
+relator under a representative, in scan order, and a sorted copy for the
+miss test.  An insertion is relabelled by each permutation of the plan and
+looked up there.  A hash hit is regenerated from its position and compared
+token for token, and then the chain is checked: phi_s(v) must give the
+insertion, and v must be a relator one level down, so the symmetry only
+decides where to look.  A level is built once per process, on the first
+insertion that misses every level below it.  On a 2-core x86-64 machine
+with CPython 3.11, cold in a fresh interpreter, the build took 0.09-0.11 s
+at n = 3, depth 1 (7,344 hashes, 19 MB peak), 0.28-0.36 s at n = 4,
+depth 1 (25 MB), 3.1-4.1 s at n = 3, depth 2 (264,384 hashes, 38 MB) and
+1.7-2.3 s at n = 8, depth 0 (the seed enumeration, 117 MB).  After the
+build, rejecting a non-relator took 0.01-0.08 ms at each of these.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .lpres import phi_word, rk0_instances
+from .lpres import _permute, orbit_plan, phi_apply, phi_word, rk0_instances
 from .symwords import (
     SymWord,
     applyrels,
@@ -162,7 +165,12 @@ def parse_certificate(text: str) -> Certificate:
 # n -> (token tuples of the seed relation instances, in the order of
 # rk0_instances; the signed quotient alphabet)
 _RANKS: dict = {}
-# (n, level) -> hash(tokens) of every relator at that level, in scan order
+# n -> (the representative letters; for each distinct permutation of the
+# orbit plan, its map on S_K^+-1 tokens and its inverse permutation)
+_PLANS: dict = {}
+# (n, 0) -> the seeds as a frozenset; (n, level) -> the hash of each image
+# of a level - 1 relator under a representative letter, in scan order, and
+# the same hashes sorted
 _INDEX: dict = {}
 
 
@@ -172,6 +180,19 @@ def _rank(n: int) -> tuple:
         seeds = tuple(inst.word.tokens for inst in rk0_instances(n))
         rank = _RANKS[n] = (seeds, tuple(signed_alphabet("S_Q", n)))
     return rank
+
+
+def _plan(n: int) -> tuple:
+    plan = _PLANS.get(n)
+    if plan is None:
+        reps, perms = orbit_plan(n)
+        kernel = signed_alphabet("S_K", n)
+        plan = _PLANS[n] = (reps, tuple(
+            ({t: _permute(t, perm) for t in kernel},
+             tuple(sorted(range(n + 1), key=perm.__getitem__)))
+            for perm in dict.fromkeys(perms.values())
+        ))
+    return plan
 
 
 def _relators(n: int, level: int):
@@ -184,7 +205,7 @@ def _relators(n: int, level: int):
         return
     for tokens in _relators(n, level - 1):
         for s in letters:
-            yield phi_word((s,), tokens, n).tokens
+            yield phi_apply(s, tokens, n)
 
 
 def _relator_at(n: int, level: int, i: int) -> tuple:
@@ -199,35 +220,67 @@ def _relator_at(n: int, level: int, i: int) -> tuple:
     return phi_word(tuple(u), seeds[i], n).tokens
 
 
-def _level(n: int, level: int) -> array:
-    hashes = _INDEX.get((n, level))
-    if hashes is None:
-        hashes = _INDEX[(n, level)] = array("q", map(hash, _relators(n, level)))
-    return hashes
+def _level(n: int, level: int):
+    index = _INDEX.get((n, level))
+    if index is None:
+        if level == 0:
+            index = frozenset(_rank(n)[0])
+        else:
+            reps = _plan(n)[0]
+            hashes = array("q", (hash(phi_apply(s, tokens, n))
+                                 for tokens in _relators(n, level - 1)
+                                 for s in reps))
+            index = (hashes, array("q", sorted(hashes)))
+        _INDEX[(n, level)] = index
+    return index
+
+
+def _at_level(tokens: tuple, n: int, level: int) -> bool:
+    """Whether the tokens are a relator of the level: a seed at level 0,
+    and at level d the image phi_s(v) of a level d - 1 relator v.
+
+    The tokens are relabelled by each permutation of the orbit plan and
+    looked up among the representative images.  A hash hit is regenerated
+    and compared token for token, and then the chain itself is checked:
+    phi_s(v) must give the tokens, and v must be a relator one level down."""
+    index = _level(n, level)
+    if level == 0:
+        return tokens in index
+    hashes, ordered = index
+    reps, moves = _plan(n)
+    for table, inverse in moves:
+        # a token outside S_K^+-1 maps to None: no image of a relator has one
+        image = tuple(map(table.get, tokens))
+        h = hash(image)
+        k = bisect_left(ordered, h)
+        if k == len(ordered) or ordered[k] != h:
+            continue
+        i = -1
+        while True:
+            try:
+                i = hashes.index(h, i + 1)
+            except ValueError:
+                break
+            r, j = divmod(i, len(reps))
+            relator = _relator_at(n, level - 1, r)
+            if phi_apply(reps[j], relator, n) != image:
+                continue
+            v = tuple(_permute(t, inverse) for t in relator)
+            s = _permute(reps[j], inverse)
+            if phi_apply(s, v, n) == tokens and _at_level(v, n, level - 1):
+                return True
+    return False
 
 
 def _relator_closure_member(word: SymWord, n: int, depth: int) -> bool:
     """Whether the word is an allowed insertion: trivial, a seed relation
     instance (or inverse), or a depth-bounded substitution image of one.
-
-    Each level is looked up by hash and built on first use; every hash hit
-    is regenerated from its position and compared token for token."""
+    Each level is built on first use, when every level below has missed."""
     if not word.tokens:
         return True
     targets = (word.tokens, word.inv().tokens)
-    for level in range(max(depth, 0) + 1):
-        hashes = _level(n, level)
-        for tokens in targets:
-            h = hash(tokens)
-            i = -1
-            while True:
-                try:
-                    i = hashes.index(h, i + 1)
-                except ValueError:
-                    break
-                if _relator_at(n, level, i) == tokens:
-                    return True
-    return False
+    return any(_at_level(tokens, n, level)
+               for level in range(max(depth, 0) + 1) for tokens in targets)
 
 
 def _check_depth(depth: int) -> None:

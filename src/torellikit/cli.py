@@ -2,7 +2,7 @@
 catalogs, and check reduction certificates.
 
 Exit codes: 0 on success, 1 when any check fails, 2 on usage or parse
-errors.
+errors; a usage error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -13,16 +13,29 @@ import sys
 from . import certificates, lpres, suites
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one stderr line, without the usage block."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _parse_seed(text: str) -> int:
-    return int(text, 0)
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"seed {text!r} is not an integer (hex 0x5EED or decimal)"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torellikit",
         description="Exact verification of free-group automorphism identities.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", required=True, choices=suites.suite_names())

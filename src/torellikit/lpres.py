@@ -22,6 +22,8 @@ The side conditions of the ten seed relation families live only in
 ``krel``: ``rk0_instances`` runs every family over its full parameter
 domain and keeps what ``krel`` accepts.  Catalog order is part of the
 contract, since certificates locate relators by their position in it.
+``orbit_plan`` states the permutation symmetry of the rules through which
+the certificate index looks relators up.
 """
 
 from __future__ import annotations
@@ -95,6 +97,40 @@ def _perm_of(s):
             return code, -1 if code == a else 1
 
     return perm
+
+
+def _permute(tok, perm):
+    """Relabel a token by a permutation of x1..xn, given as a tuple
+    ``perm[code] -> code`` that fixes y; swaps and inversions stay swaps
+    and inversions."""
+    if tok[0] == "P":
+        return P(perm[tok[1]], perm[tok[2]])
+    if tok[0] == "I":
+        return I(perm[tok[1]])
+    return _relabel(tok, lambda code: (perm[code], 1))
+
+
+def orbit_plan(n: int) -> tuple:
+    """The eight representatives M[x1^alpha, x2]^beta, M[x1, y^eps], P[1,2]
+    and I[1] of the orbits of S_Q^+-1 under the permutations of x1..xn,
+    and for each signed quotient letter ``s`` the permutation (as
+    ``_permute`` takes it) that carries ``s`` to its representative: it
+    sends the first x-index of ``s`` to x1 and its second, or the lowest
+    other one, to x2, and keeps the rest in order.  The rules commute with
+    permutations token for token; under sign flips they pick other, equal
+    words."""
+    basis = std_basis(n)
+    x1, x2, y = basis.x(1), basis.x(2), basis.y(1)
+    reps = tuple(M(x1, al, x2, be) for al in (1, -1) for be in (1, -1))
+    reps += (M(x1, 1, y), M(x1, 1, y, -1), P(x1, x2), I(x1))
+    plan = {}
+    for s in signed_alphabet("S_Q", n):
+        a, b = (s[1][0], s[2][0]) if s[0] == "M" else (s[1], s[-1])
+        if b in (a, y):
+            b = x2 if a == x1 else x1
+        order = [a, b] + [c for c in range(n) if c not in (a, b)] + [y]
+        plan[s] = tuple(map(order.index, range(n + 1)))
+    return reps, plan
 
 
 def phi_gen(s, t, n: int) -> tuple:

@@ -403,6 +403,22 @@ def format_word(tokens, basis: Basis) -> str:
     return " * ".join(format_token(t, basis) for t in tokens)
 
 
+def _index(part: str, kind: str) -> int:
+    try:
+        return int(part)
+    except ValueError:
+        raise ValueError(f"{kind} index {part!r} is not an integer") from None
+
+
+def _letters(tag: str, parts: list, basis: Basis, text: str) -> list:
+    count = 3 if tag == "Mc" else 2
+    if len(parts) != count:
+        raise ValueError(
+            f"{tag} token needs {('two', 'three')[count - 2]} letters: {text!r}"
+        )
+    return [basis.parse_letter(p) for p in parts]
+
+
 def parse_token(text: str, basis: Basis):
     text = text.strip()
     invert = False
@@ -419,22 +435,20 @@ def parse_token(text: str, basis: Basis):
     if tag == "P":
         if len(parts) != 2:
             raise ValueError(f"swap token needs two indices: {text!r}")
-        tok = P(basis.x(int(parts[0])), basis.x(int(parts[1])))
+        tok = P(*(basis.x(_index(p, "swap")) for p in parts))
     elif tag == "I":
         if len(parts) != 1:
             raise ValueError(f"inversion token needs one index: {text!r}")
-        tok = I(basis.x(int(parts[0])))
+        tok = I(basis.x(_index(parts[0], "inversion")))
     elif tag == "M":
-        (z, zs), (v, vs) = (basis.parse_letter(p) for p in parts)
+        (z, zs), (v, vs) = _letters(tag, parts, basis, text)
         tok = M(z, zs, v, vs)
     elif tag == "C":
         # the conjugated letter's sign does not change the automorphism
-        (u, _), (w, ws) = (basis.parse_letter(p) for p in parts)
+        (u, _), (w, ws) = _letters(tag, parts, basis, text)
         tok = C(u, w, ws)
     elif tag == "Mc":
-        if len(parts) != 3:
-            raise ValueError(f"Mc token needs three letters: {text!r}")
-        (a, asign), (p, ps), (q, qs) = (basis.parse_letter(x) for x in parts)
+        (a, asign), (p, ps), (q, qs) = _letters(tag, parts, basis, text)
         tok = Mc(a, asign, p, ps, q, qs)
     else:
         raise ValueError(f"unknown token tag {tag!r}")

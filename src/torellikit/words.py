@@ -65,12 +65,15 @@ class Basis:
         name, sign = text, 1
         if "^" in text:
             name, exp = text.split("^", 1)
-            sign = int(exp)
+            try:
+                sign = int(exp)
+            except ValueError:
+                sign = 0
             if sign not in (1, -1):
                 raise ValueError(f"letter exponent must be +-1, got {text!r}")
         if name == "y" and self.k == 1:
             return self.y(1), sign
-        if len(name) < 2 or name[0] not in "xy" or not name[1:].isdigit():
+        if len(name) < 2 or name[0] not in "xy" or not name[1:].isdecimal():
             raise ValueError(f"cannot parse letter {text!r}")
         idx = int(name[1:])
         code = self.x(idx) if name[0] == "x" else self.y(idx)

@@ -1,4 +1,5 @@
 import textwrap
+from array import array
 from functools import lru_cache
 from random import Random
 
@@ -8,7 +9,7 @@ from torellikit import certificates
 from torellikit.certificates import (
     MAX_DEPTH, MAX_RANK, check_certificate, parse_certificate, replay_certificate,
 )
-from torellikit.lpres import krel, phi_word, rk0_instances
+from torellikit.lpres import _permute, krel, orbit_plan, phi_word, rk0_instances
 from torellikit.symwords import (
     M,
     SymWord,
@@ -229,31 +230,74 @@ def test_relator_index_agrees_with_the_exhaustive_scan():
                 assert verdicts == [not w.tokens or w.tokens in seeds for w in words]
 
 
+def test_every_closure_relator_is_accepted():
+    n = 2
+    words = [inst.word for inst in rk0_instances(n)]
+    words += [phi_word((s,), w, n) for w in words for s in signed_alphabet("S_Q", n)]
+    words += [w.inv() for w in words]
+    assert len(words) == 3136
+    assert all(certificates._relator_closure_member(w, n, 1) for w in words)
+
+
 def test_every_position_regenerates_its_stored_hash():
     n = 2
     seeds = [inst.word.tokens for inst in rk0_instances(n)]
     q = len(signed_alphabet("S_Q", n))
-    for level in (0, 1, 2):
-        hashes = certificates._level(n, level)
-        assert len(hashes) == len(seeds) * q ** level
+    reps, _ = orbit_plan(n)
+    assert len(reps) == 8
+    assert certificates._level(n, 0) == frozenset(seeds)
+    for level in (1, 2):
+        hashes, ordered = certificates._level(n, level)
+        assert len(hashes) == len(seeds) * q ** (level - 1) * len(reps)
+        assert list(ordered) == sorted(hashes)
         for i, h in enumerate(hashes):
-            assert hash(certificates._relator_at(n, level, i)) == h, (level, i)
+            r, j = divmod(i, len(reps))
+            below = certificates._relator_at(n, level - 1, r)
+            assert hash(phi_word((reps[j],), below, n).tokens) == h, (level, i)
 
 
 def test_a_hash_match_alone_never_accepts(monkeypatch):
     n = 2
     word = parse_word("C[y1,x1]", std_basis(n))
+    assert not certificates._relator_closure_member(word, n, 2)
+    _, moves = certificates._plan(n)
+    planted_hashes = [hash(tuple(map(table.get, w.tokens)))
+                      for table, _ in moves for w in (word, word.inv())]
+    for level in (1, 2):
+        planted = certificates._level(n, level)[0][:]
+        for k, h in enumerate(planted_hashes):
+            planted[len(planted) // 2 + k] = h
+        monkeypatch.setitem(certificates._INDEX, (n, level),
+                            (planted, array("q", sorted(planted))))
+        assert not certificates._relator_closure_member(word, n, 2)
+        assert not certificates._relator_closure_member(word.inv(), n, 2)
+
+
+def test_a_wrong_inverse_permutation_never_accepts(monkeypatch):
+    """With every inverse permutation off by the swap of x2 and x3, a hit
+    regenerates, but the chain phi_s(pi^-1 v) gives the swapped word."""
+    n = 3
+    basis = std_basis(n)
+    swap = (0, 2, 1, 3)
+    seeds = certificates._level(n, 0)
+    for inst in rk0_instances(n):
+        word = phi_word((M(basis.x(1), 1, basis.x(2)),), inst.word, n)
+        swapped = tuple(_permute(t, swap) for t in word.tokens)
+        if (swapped != word.tokens and word.tokens not in seeds
+                and word.inv().tokens not in seeds):
+            break
+    else:
+        pytest.fail("no level-1 relator is moved by the swap")
+    assert certificates._relator_closure_member(word, n, 1)
+    reps, moves = certificates._plan(n)
+    wrong = tuple((table, tuple(swap[c] for c in inverse))
+                  for table, inverse in moves)
+    monkeypatch.setitem(certificates._PLANS, n, (reps, wrong))
     assert not certificates._relator_closure_member(word, n, 1)
-    for level in (0, 1):
-        planted = certificates._level(n, level)[:]
-        planted[len(planted) // 2] = hash(word.tokens)
-        monkeypatch.setitem(certificates._INDEX, (n, level), planted)
-        assert not certificates._relator_closure_member(word, n, 1)
-        assert not certificates._relator_closure_member(word.inv(), n, 1)
 
 
 def test_the_index_is_built_once_per_rank_and_level(monkeypatch):
-    calls = {"phi_word": 0, "rk0_instances": 0}
+    calls = {"phi_apply": 0, "rk0_instances": 0, "orbit_plan": 0}
 
     def counted(name):
         original = getattr(certificates, name)
@@ -263,8 +307,8 @@ def test_the_index_is_built_once_per_rank_and_level(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(certificates, "_RANKS", {})
-    monkeypatch.setattr(certificates, "_INDEX", {})
+    for table in ("_RANKS", "_PLANS", "_INDEX"):
+        monkeypatch.setattr(certificates, table, {})
     for name in calls:
         monkeypatch.setattr(certificates, name, counted(name))
     reject = cert("""
@@ -274,7 +318,7 @@ def test_the_index_is_built_once_per_rank_and_level(monkeypatch):
         expect: C[y1,x1]
     """)
     assert not check_certificate(reject, depth=1).ok
-    assert calls == {"phi_word": 98 * 15, "rk0_instances": 1}
-    calls.update(phi_word=0, rk0_instances=0)
+    assert calls == {"phi_apply": 98 * 8, "rk0_instances": 1, "orbit_plan": 1}
+    calls.update(phi_apply=0, rk0_instances=0, orbit_plan=0)
     assert not check_certificate(reject, depth=1).ok
-    assert calls == {"phi_word": 0, "rk0_instances": 0}
+    assert calls == {"phi_apply": 0, "rk0_instances": 0, "orbit_plan": 0}

@@ -2,11 +2,14 @@ import random
 
 import pytest
 
+from torellikit import lpres
+from torellikit.certificates import MAX_RANK
 from torellikit.lpres import (
     audit_phi_totality,
     genset_reduce,
     krel,
     nielsen_relators,
+    orbit_plan,
     phi_apply,
     phi_gen,
     phi_word,
@@ -232,3 +235,71 @@ def test_phi_fixes_relators_semantically():
         for inst in rng.sample(instances, 12):
             image = phi_word((s,), inst.word, N)
             assert interpret(image.tokens, B).is_identity
+
+
+# ---------------------------------------------------------------------------
+# the permutation symmetry behind the certificate index
+
+
+def _generators_of_s_n(n):
+    """The swap (x1 x2) and the cycle (x1 x2 ... xn), as ``_permute`` takes
+    them; together they generate every permutation of x1..xn."""
+    swap = (1, 0) + tuple(range(2, n + 1))
+    cycle = tuple((c + 1) % n for c in range(n)) + (n,)
+    return swap, cycle
+
+
+def _moves(n, perm):
+    tokens = signed_alphabet("S_Q", n) + signed_alphabet("S_K", n)
+    return {t: lpres._permute(t, perm) for t in tokens}
+
+
+def _equivariance_failures(n, perm):
+    """The (s, t) of S_Q^+-1 x S_K where relabelling phi_s(t) by the
+    permutation differs, token for token, from phi of the relabelled pair."""
+    move = _moves(n, perm)
+    phi = lpres.phi_gen
+    return [
+        (s, t) for s in signed_alphabet("S_Q", n) for t in alphabet("S_K", n)
+        if tuple(map(move.get, phi(s, t, n))) != phi(move[s], move[t], n)
+    ]
+
+
+def test_phi_gen_commutes_with_permutations():
+    for n in range(2, MAX_RANK + 1):
+        for perm in _generators_of_s_n(n):
+            assert _equivariance_failures(n, perm) == [], (n, perm)
+
+
+def test_seed_relators_are_closed_under_permutations():
+    for n in range(2, 6):
+        seeds = {inst.word.tokens for inst in rk0_instances(n)}
+        for perm in _generators_of_s_n(n):
+            move = _moves(n, perm)
+            assert {tuple(map(move.get, w)) for w in seeds} == seeds, (n, perm)
+
+
+def test_orbit_plan_carries_every_letter_to_a_representative():
+    for n in range(2, 6):
+        reps, plan = orbit_plan(n)
+        assert len(reps) == 8
+        assert set(plan) == set(signed_alphabet("S_Q", n))
+        assert {lpres._permute(s, perm) for s, perm in plan.items()} == set(reps)
+        for perm in plan.values():
+            assert sorted(perm) == list(range(n + 1)) and perm[n] == n
+        assert len(set(plan.values())) == n * (n - 1)
+
+
+def test_a_changed_rule_of_one_letter_breaks_equivariance(monkeypatch):
+    n = 3
+    s0, t0 = M(B.x(2), 1, B.x(1)), C(Y, B.x(1))  # s0 is no representative
+    assert s0 not in orbit_plan(n)[0]
+    original = lpres.phi_gen
+
+    def changed(s, t, n):
+        image = original(s, t, n)
+        return image + (t, token_inv(t)) if (s, t) == (s0, t0) else image
+
+    monkeypatch.setattr(lpres, "phi_gen", changed)
+    swap, _ = _generators_of_s_n(n)
+    assert _equivariance_failures(n, swap)

@@ -41,3 +41,43 @@ def test_insert_lines_parse_or_are_refused(text):
         parse_certificate(cert)
     except CertificateError as exc:
         assert "invalid literal" not in str(exc)
+
+
+# whole token text: a tag (one of the five, or junk) around 0-4 parts
+PARTS = st.one_of(
+    st.sampled_from(["1", "2", "x1", "x2", "y1", "y", "x1^-1", "y1^-1", "x2^1"]),
+    st.integers(-3, 5).map(str),
+    st.text(max_size=6),
+)
+TOKEN_TEXTS = st.builds(
+    "{}[{}]{}".format,
+    st.one_of(st.sampled_from(["P", "I", "M", "C", "Mc"]), st.text(max_size=3)),
+    st.lists(PARTS, max_size=4).map(",".join),
+    st.sampled_from(["", "^-1", "^1"]),
+)
+
+
+@hypothesis.settings(max_examples=300, deadline=1000)
+@hypothesis.given(TOKEN_TEXTS)
+def test_token_parse_errors_are_worded_by_the_project(text):
+    try:
+        parse_token(text, std_basis(3))
+    except ValueError as exc:
+        assert "invalid literal" not in str(exc), text
+        assert "values to unpack" not in str(exc), text
+
+
+def test_malformed_tokens_have_one_line_messages():
+    for text, message in (
+        ("P[x1,x2]", "swap index 'x1' is not an integer"),
+        ("I[]", "inversion index '' is not an integer"),
+        ("I[1.5]", "inversion index '1.5' is not an integer"),
+        ("M[x1]", "M token needs two letters: 'M[x1]'"),
+        ("M[x1,x2,x3]", "M token needs two letters: 'M[x1,x2,x3]'"),
+        ("C[x1,y1,x2]", "C token needs two letters: 'C[x1,y1,x2]'"),
+        ("M[x1^a,x2]", "letter exponent must be +-1, got 'x1^a'"),
+    ):
+        cert = f"certificate v1; n=3\nstart: {text}\nexpect: 1\n"
+        with pytest.raises(CertificateError) as exc:
+            parse_certificate(cert)
+        assert str(exc.value) == f"line 2: {message}"

@@ -181,10 +181,26 @@ def test_cli_certify(tmp_path, capsys):
     assert "non-relator" in capsys.readouterr().out
 
 
+def test_an_argument_error_is_one_stderr_line(capsys):
+    for argv, line in (
+        (["verify", "--suite", "nope"],
+         "torellikit verify: error: argument --suite: invalid choice: 'nope'"),
+        (["verify"], "torellikit verify: error: the following arguments are "
+         "required: --suite"),
+        (["verify", "--suite", "tb3", "--seed", "zz"],
+         "torellikit verify: error: argument --seed: seed 'zz' is not an integer"),
+        (["certify", "--file", "x", "--depth", "two"],
+         "torellikit certify: error: argument --depth: invalid int value: 'two'"),
+        ([], "torellikit: error: the following arguments are required: command"),
+        (["verify", "--suite", "stab-psi", "--threads", "2"],
+         "torellikit: error: unrecognized arguments: --threads 2"),
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(line) and err.count("\n") == 1, (argv, err)
+
+
 def test_cli_usage_errors(tmp_path, capsys):
-    assert main(["verify", "--suite", "nope"]) == 2
-    assert main(["verify", "--suite", "stab-psi", "--threads", "2"]) == 2
-    capsys.readouterr()
     not_utf8 = tmp_path / "latin1.cert"
     not_utf8.write_bytes(b"certificate v1; n=2\nstart: \xff\nexpect: 1\n")
     bad_index = tmp_path / "index.cert"
@@ -197,6 +213,8 @@ def test_cli_usage_errors(tmp_path, capsys):
     bad_pos.write_text("certificate v1; n=2\nstart: 1\ninsert @x: C[y1,x1]\nexpect: 1\n")
     two_starts = tmp_path / "starts.cert"
     two_starts.write_text("certificate v1; n=2\nstart: 1\nstart: C[y1,x1]\nexpect: 1\n")
+    bad_swap = tmp_path / "swap.cert"
+    bad_swap.write_text("certificate v1; n=2\nstart: P[x1,x2]\nexpect: 1\n")
     two_expects = tmp_path / "expects.cert"
     two_expects.write_text("certificate v1; n=2\nstart: 1\nexpect: 1\n\nexpect: 1\n")
     example = str(Path(__file__).resolve().parent.parent / "demos" / "example.cert")
@@ -213,6 +231,8 @@ def test_cli_usage_errors(tmp_path, capsys):
          f"error: {bad_pos}: line 3: insert position 'x' is not an integer\n"),
         (["certify", "--file", str(two_starts)],
          f"error: {two_starts}: line 3: second 'start:' line (first on line 2)\n"),
+        (["certify", "--file", str(bad_swap)],
+         f"error: {bad_swap}: line 2: swap index 'x1' is not an integer\n"),
         (["certify", "--file", str(two_expects)],
          f"error: {two_expects}: line 5: second 'expect:' line (first on line 3)\n"),
         (["certify", "--file", example, "--depth", "-1"],
