@@ -59,6 +59,7 @@ from .symwords import (
     signed_alphabet,
     std_basis,
 )
+from .words import _index
 
 
 @dataclass
@@ -132,12 +133,7 @@ def parse_certificate(text: str) -> Certificate:
                         f"line {lineno}: expected 'insert @<pos>: <symword>'"
                     )
                 word = parse_word(word, basis)
-                try:
-                    pos = int(head)
-                except ValueError:
-                    raise CertificateError(
-                        f"line {lineno}: insert position {head.strip()!r} is not an integer"
-                    ) from None
+                pos = _index(head.strip(), "insert position")
                 steps.append((word, pos, lineno))
             elif line.startswith("expect:"):
                 if expect is not None:

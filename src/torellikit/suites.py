@@ -3,20 +3,23 @@
 Every suite is a deterministic function of its parameters (rank, sample
 count, seed): case inputs come from a seeded generator, so repeated runs
 produce identical reports (the wall-time field aside).  Each suite is a
-generator of case results, reported in order.  ``phi-nielsen`` checks
-its relators on forked worker processes, one per available CPU
-(``_pool_map``), when it has at least ``_POOL_MIN_JOBS`` of them; its
-report, and so its digest, is the same as when run serially.  The other
-suites run their cases serially, in this process: their jobs are too few
-or too cheap for the pool to win.
+generator of case results, reported in order, and runs in this process:
+no suite starts a thread or a process.
+
+The phi-trivial suites (``phi-nielsen``, ``phi-inverse-A``,
+``phi-inverse-Z``, ``phi-zn``) check one case per permutation class, the
+words whose x-support relabels to one least word, once they have checked
+at the suite's rank that relabelling commutes with the rules and with
+``interpret`` (``_acts_trivially``).  Their reports are the ones a check
+of every case gives.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
+from itertools import permutations
 from random import Random
 from typing import Callable, NamedTuple
 
@@ -78,71 +81,15 @@ def _case(case_id, ok, witness=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# worker processes
-
-# chunks handed to each worker process: relator costs vary, so one chunk a
-# worker would leave one of them idle at the end
-_CHUNKS_PER_WORKER = 8
-
-# fewer jobs than this run in the process: on two cores the pool costs
-# about 40 ms to start, and phi-nielsen lost with its 28 relators at n=2
-# (22 -> 63 ms) and won with 192 at n=3 (0.59 -> 0.36 s)
-_POOL_MIN_JOBS = 100
-
-
-def _pool_width(jobs: int) -> int:
-    """Worker processes for ``jobs`` jobs: one per CPU this process may run
-    on, never more than jobs."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, jobs)
-
-
-def _pool_map(fn, jobs: list) -> list:
-    """``list(map(fn, jobs))``, computed on forked worker processes.
-
-    ``fn`` is a module-level function and ``jobs`` pickle.  Workers are
-    forked, so they see the parent's state, caches and patches included.
-    The same ``map`` runs in this process when there are fewer than
-    ``_POOL_MIN_JOBS`` jobs, when one worker would do, when the platform
-    cannot fork, when another thread runs (a fork copies only the calling
-    thread, so a lock held by another would stay held in the workers), in
-    a daemonic process (which may not start children), or when the pool
-    cannot start.
-    """
-    width = _pool_width(len(jobs)) if len(jobs) >= _POOL_MIN_JOBS else 1
-    if width > 1:
-        import multiprocessing  # about 20 ms: only where a pool may start
-        import threading
-
-        if ("fork" in multiprocessing.get_all_start_methods()
-                and threading.active_count() == 1
-                and not multiprocessing.current_process().daemon):
-            try:
-                pool = multiprocessing.get_context("fork").Pool(width)
-            except OSError:
-                pass
-            else:
-                chunk = -(-len(jobs) // (width * _CHUNKS_PER_WORKER))
-                with pool:
-                    return pool.map(fn, jobs, chunk)
-    return list(map(fn, jobs))
-
-
-# ---------------------------------------------------------------------------
 # shared case kinds
 
 
 def _instances_hold(instances):
     """Cases: each relation instance interprets to the identity."""
     for inst in instances:
-        yield _case(
-            inst.family + str(inst.params),
-            lpres.verify_instance(inst),
-            inst.describe(),
-        )
+        ok = lpres.verify_instance(inst)
+        yield _case(inst.family + str(inst.params), ok,
+                    None if ok else inst.describe())
 
 
 def _psi_fixed_by(word, n, kernel):
@@ -156,33 +103,83 @@ def _psi_fixed_by(word, n, kernel):
     return None
 
 
-# n -> [(t, interpret((t,))) for each S_K generator t]
-_KERNELS: dict = {}
+def _relabelling_commutes(n, letters) -> bool:
+    """Whether relabelling x1..xn (``lpres._permute``) commutes at rank n
+    with phi and ``interpret``, so that a word over ``letters`` and its
+    relabelling get the same ``_psi_fixed_by`` verdict.  Checked for the
+    swap (x1 x2) and the cycle (x1 ... xn), which generate every
+    permutation pi: pi maps ``letters`` and S_K onto themselves,
+    ``phi_gen`` is token-equivariant on ``letters`` x S_K, and for every
+    S_K^+-1 token t, ``interpret(pi.t)`` sends x_pi(c) to pi applied to the
+    image of x_c under ``interpret(t)``.  ``phi_gen`` is called directly,
+    so the check fills no ``phi_apply`` table."""
+    basis = std_basis(n)
+    kernel = alphabet("S_K", n)
+    signed_kernel = signed_alphabet("S_K", n)
+    swap = (1, 0) + tuple(range(2, n + 1))
+    cycle = tuple((c + 1) % n for c in range(n)) + (n,)
+    moves = []  # per permutation: (letter -> relabelled, S_K^+-1 -> relabelled)
+    for perm in (swap, cycle):
+        letter_move = {s: lpres._permute(s, perm) for s in letters}
+        move = {t: lpres._permute(t, perm) for t in signed_kernel}
+        if (set(letter_move.values()) != letters
+                or {move[t] for t in kernel} != set(kernel)):
+            return False
+        for t in signed_kernel:
+            before = interpret((t,), basis).images
+            after = interpret((move[t],), basis).images
+            for c, image in enumerate(before):
+                relabelled = tuple((perm[d], e) for d, e in image.letters)
+                if after[perm[c]].letters != relabelled:
+                    return False
+        moves.append((letter_move, move))
+    for s in letters:
+        for t in kernel:
+            image = lpres.phi_gen(s, t, n)
+            for letter_move, move in moves:
+                # a token outside S_K^+-1 relabels to None and fails
+                if (tuple(map(move.get, image))
+                        != lpres.phi_gen(letter_move[s], move[t], n)):
+                    return False
+    return True
 
 
-def _kernel(n) -> list:
-    kernel = _KERNELS.get(n)
-    if kernel is None:
-        basis = std_basis(n)
-        kernel = _KERNELS[n] = [(t, interpret((t,), basis))
-                                for t in alphabet("S_K", n)]
-    return kernel
+def _least_relabelling(word, n) -> tuple:
+    """The least of the words that relabel the x-support of ``word`` onto
+    x1..xm by ``lpres._permute``, m being the size of the support.  Only
+    the support and y are read, so any permutation of x1..xn extending a
+    relabelling gives the same word."""
+    # a swap or inversion names codes; the other tokens, signed letters
+    support = sorted({part if type(part) is int else part[0]
+                      for tok in word for part in tok[1:]} - {n})
+    perms = ({n: n, **dict(zip(support, image))}
+             for image in permutations(range(len(support))))
+    return min(tuple([lpres._permute(tok, perm) for tok in word])
+               for perm in perms)
 
 
-def _moved_generator(job):
-    """The witness of one ``(n, word)`` job, or None."""
-    n, word = job
-    return _psi_fixed_by(word, n, _kernel(n))
+def _acts_trivially(n, relators):
+    """Cases: each ``(case id, word)`` acts trivially through phi.
 
-
-def _acts_trivially(n, relators, pooled=False):
-    """Cases: each ``(case id, word)`` acts trivially through phi.  Pooled
-    words are checked by ``_pool_map``; the kernel list is built first, so
-    forked workers inherit it."""
-    _kernel(n)
-    jobs = [(n, word) for _, word in relators]
-    witnesses = (_pool_map if pooled else map)(_moved_generator, jobs)
-    for (case_id, _), witness in zip(relators, witnesses):
+    When ``_relabelling_commutes`` holds for the words' letters, the words
+    with one least relabelling share a verdict, checked once on that word,
+    which need not be a case.  A failing class is checked again case by
+    case, so each failing case has its own witness; otherwise every case
+    is checked."""
+    basis = std_basis(n)
+    kernel = [(t, interpret((t,), basis)) for t in alphabet("S_K", n)]
+    shared = _relabelling_commutes(n, {s for _, word in relators for s in word})
+    verdicts = {}  # least relabelling -> whether it acts trivially
+    for case_id, word in relators:
+        if shared:
+            least = _least_relabelling(word, n)
+            ok = verdicts.get(least)
+            if ok is None:
+                ok = verdicts[least] = _psi_fixed_by(least, n, kernel) is None
+            if ok:
+                yield _case(case_id, True)
+                continue
+        witness = _psi_fixed_by(word, n, kernel)
         yield _case(case_id, witness is None, witness and f"moves {witness}")
 
 
@@ -205,20 +202,15 @@ def _holds(kind):
     return cases
 
 
-def _trivial(source, pooled=False):
+def _trivial(source):
     """A suite whose cases are words each acting trivially through phi:
-    the instances of a catalog kind, or an alphabet's inverse pairs.
-    Only a ``pooled`` suite checks its words on worker processes.  The
-    inverse pairs and ``zn`` lost on the pool at every rank tried (n = 2
-    to 7): their words are few and short, and much of their cost fills
-    caches that later words reuse (``phi-inverse-A`` at n = 7 takes 1.26 s
-    cold and 0.62 s warm), which each worker would fill again."""
+    the instances of a catalog kind, or an alphabet's inverse pairs."""
     def cases(n, k, samples, seed):
         if source in lpres._CATALOGS:
             words = _named_words(lpres.relation_catalog(source, n))
         else:
             words = _inverse_pairs(source, n)
-        return _acts_trivially(n, words, pooled)
+        return _acts_trivially(n, words)
     return cases
 
 
@@ -234,10 +226,10 @@ def _suite_phi_conj(n, k, samples, seed):
         for t in alphabet("S_K", n):
             image = lpres.phi_gen(s, t, n)
             rhs = s_endo * interpret((t,), basis) * s_inv
+            ok = interpret(image, basis) == rhs
             yield _case(
-                f"{format_token(s, basis)}|{format_token(t, basis)}",
-                interpret(image, basis) == rhs,
-                f"phi image {format_word(image, basis)}",
+                f"{format_token(s, basis)}|{format_token(t, basis)}", ok,
+                None if ok else f"phi image {format_word(image, basis)}",
             )
 
 
@@ -254,10 +246,10 @@ def _suite_lambda_zrel(n, k, samples, seed):
     for f in signed_alphabet("S_A", n):
         for r in _zprime_relators(n):
             value = twisted.tlambda1(f, r, n)
+            ok = interpret(value.tokens, basis).is_identity
             yield _case(
-                f"{format_token(f, basis)}|{format_word(r, basis)}",
-                interpret(value.tokens, basis).is_identity,
-                f"expansion {value}",
+                f"{format_token(f, basis)}|{format_word(r, basis)}", ok,
+                None if ok else f"expansion {value}",
             )
 
 
@@ -350,11 +342,9 @@ def _suite_jw_delta(n, k, samples, seed):
         )
     for inst in lpres.jensen_wahl_relators(n):
         g = extension.phi_inverse_word(inst.word.tokens, group)
-        yield _case(
-            inst.family + str(inst.params),
-            extension.is_ext_identity(group, g),
-            inst.describe(),
-        )
+        ok = extension.is_ext_identity(group, g)
+        yield _case(inst.family + str(inst.params), ok,
+                    None if ok else inst.describe())
 
 
 def _johnson_row_only(rows, z, expect_row) -> bool:
@@ -487,7 +477,7 @@ _SUITES = {
     "table1": _Suite(_holds("table1"), dict(n=3, k=3), dict(n=2, k=1)),
     "phi-conj": _Suite(_suite_phi_conj, dict(n=4), dict(n=2)),
     "phi-inverse-A": _Suite(_trivial("S_A"), dict(n=4), dict(n=2)),
-    "phi-nielsen": _Suite(_trivial("nielsen", pooled=True), dict(n=4), dict(n=2)),
+    "phi-nielsen": _Suite(_trivial("nielsen"), dict(n=4), dict(n=2)),
     "phi-inverse-Z": _Suite(_trivial("S_Z"), dict(n=4), dict(n=2)),
     "phi-zn": _Suite(_trivial("zn"), dict(n=4), dict(n=2)),
     "lambda-zrel": _Suite(_suite_lambda_zrel, dict(n=3), dict(n=2)),

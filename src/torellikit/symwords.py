@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import autos
-from .words import Basis, Word, commutator
+from .words import Basis, Word, _echo, _index, commutator
 
 ALPHABETS = ("S_A", "S_Z", "S_Q", "S_K", "S_C")
 
@@ -403,18 +403,11 @@ def format_word(tokens, basis: Basis) -> str:
     return " * ".join(format_token(t, basis) for t in tokens)
 
 
-def _index(part: str, kind: str) -> int:
-    try:
-        return int(part)
-    except ValueError:
-        raise ValueError(f"{kind} index {part!r} is not an integer") from None
-
-
 def _letters(tag: str, parts: list, basis: Basis, text: str) -> list:
     count = 3 if tag == "Mc" else 2
     if len(parts) != count:
         raise ValueError(
-            f"{tag} token needs {('two', 'three')[count - 2]} letters: {text!r}"
+            f"{tag} token needs {('two', 'three')[count - 2]} letters: {_echo(text)}"
         )
     return [basis.parse_letter(p) for p in parts]
 
@@ -428,18 +421,18 @@ def parse_token(text: str, basis: Basis):
     elif text.endswith("]^1"):
         text = text[:-2]
     if not text.endswith("]") or "[" not in text:
-        raise ValueError(f"cannot parse token {text!r}")
+        raise ValueError(f"cannot parse token {_echo(text)}")
     tag, body = text[:-1].split("[", 1)
     tag = tag.strip()
     parts = [p.strip() for p in body.split(",")]
     if tag == "P":
         if len(parts) != 2:
-            raise ValueError(f"swap token needs two indices: {text!r}")
-        tok = P(*(basis.x(_index(p, "swap")) for p in parts))
+            raise ValueError(f"swap token needs two indices: {_echo(text)}")
+        tok = P(*(basis.x(_index(p, "swap index")) for p in parts))
     elif tag == "I":
         if len(parts) != 1:
-            raise ValueError(f"inversion token needs one index: {text!r}")
-        tok = I(basis.x(_index(parts[0], "inversion")))
+            raise ValueError(f"inversion token needs one index: {_echo(text)}")
+        tok = I(basis.x(_index(parts[0], "inversion index")))
     elif tag == "M":
         (z, zs), (v, vs) = _letters(tag, parts, basis, text)
         tok = M(z, zs, v, vs)
@@ -451,7 +444,7 @@ def parse_token(text: str, basis: Basis):
         (a, asign), (p, ps), (q, qs) = _letters(tag, parts, basis, text)
         tok = Mc(a, asign, p, ps, q, qs)
     else:
-        raise ValueError(f"unknown token tag {tag!r}")
+        raise ValueError(f"unknown token tag {_echo(tag)}")
     return token_inv(tok) if invert else tok
 
 

@@ -20,6 +20,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+# an index of more digits names no generator of a basis this package can
+# build; int() itself refuses more than 4,300 digits, in its own words
+_INDEX_DIGITS = 18
+
+
+def _echo(text: str) -> str:
+    """``repr(text)`` for an error message, cut after 80 characters."""
+    return repr(text) if len(text) <= 80 else f"{text[:80]!r}..."
+
+
+def _index(text: str, what: str) -> int:
+    """The integer ``text``; ``what`` names it in an error message."""
+    if len(text) > _INDEX_DIGITS:
+        raise ValueError(f"{what} {_echo(text)} has more than {_INDEX_DIGITS} digits")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} {_echo(text)} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class Basis:
     """A free basis with ``n`` x-generators and ``k`` y-generators."""
@@ -70,12 +90,12 @@ class Basis:
             except ValueError:
                 sign = 0
             if sign not in (1, -1):
-                raise ValueError(f"letter exponent must be +-1, got {text!r}")
+                raise ValueError(f"letter exponent must be +-1, got {_echo(text)}")
         if name == "y" and self.k == 1:
             return self.y(1), sign
         if len(name) < 2 or name[0] not in "xy" or not name[1:].isdecimal():
-            raise ValueError(f"cannot parse letter {text!r}")
-        idx = int(name[1:])
+            raise ValueError(f"cannot parse letter {_echo(text)}")
+        idx = _index(name[1:], "letter index")
         code = self.x(idx) if name[0] == "x" else self.y(idx)
         return code, sign
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from torellikit import lpres
+from torellikit import autos, lpres
 from torellikit.certificates import MAX_RANK
 from torellikit.lpres import (
     audit_phi_totality,
@@ -32,6 +32,7 @@ from torellikit.symwords import (
     token_inv,
     tokens_inv,
 )
+from torellikit.words import Word
 
 N = 3
 B = std_basis(N)
@@ -269,6 +270,28 @@ def test_phi_gen_commutes_with_permutations():
     for n in range(2, MAX_RANK + 1):
         for perm in _generators_of_s_n(n):
             assert _equivariance_failures(n, perm) == [], (n, perm)
+
+
+def _permutation_endo(basis, perm):
+    """The automorphism x_c -> x_perm[c], fixing y."""
+    return autos.Endo(basis, [Word(basis, ((perm[c], 1),))
+                              for c in range(basis.size)])
+
+
+def test_interpret_commutes_with_permutations():
+    """interpret(pi.t) == pi * interpret(t) * pi^-1 for every signed S_K,
+    S_Q and S_C token t, pi being the relabelling that ``_permute`` makes."""
+    for n in range(2, MAX_RANK + 1):
+        basis = std_basis(n)
+        tokens = {t for kind in ("S_K", "S_Q", "S_C")
+                  for t in signed_alphabet(kind, n)}
+        for perm in _generators_of_s_n(n):
+            pi = _permutation_endo(basis, perm)
+            pi_inv = _permutation_endo(basis, tuple(map(perm.index, range(n + 1))))
+            differ = [t for t in tokens
+                      if interpret((lpres._permute(t, perm),), basis)
+                      != pi * interpret((t,), basis) * pi_inv]
+            assert differ == [], (n, perm, differ[:3])
 
 
 def test_seed_relators_are_closed_under_permutations():

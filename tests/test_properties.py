@@ -76,6 +76,15 @@ def test_malformed_tokens_have_one_line_messages():
         ("M[x1,x2,x3]", "M token needs two letters: 'M[x1,x2,x3]'"),
         ("C[x1,y1,x2]", "C token needs two letters: 'C[x1,y1,x2]'"),
         ("M[x1^a,x2]", "letter exponent must be +-1, got 'x1^a'"),
+        # int() refuses more than 4,300 digits in its own words, and the
+        # message echoes the first 80 characters of the input
+        ("M[x" + "1" * 5000 + ",x2]",
+         "letter index '" + "1" * 80 + "'... has more than 18 digits"),
+        ("P[1," + "2" * 5000 + "]",
+         "swap index '" + "2" * 80 + "'... has more than 18 digits"),
+        ("M[x1^" + "1" * 5000 + ",x2]",
+         "letter exponent must be +-1, got 'x1^" + "1" * 77 + "'..."),
+        ("x" * 5000, "cannot parse token '" + "x" * 80 + "'..."),
     ):
         cert = f"certificate v1; n=3\nstart: {text}\nexpect: 1\n"
         with pytest.raises(CertificateError) as exc:

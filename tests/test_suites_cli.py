@@ -215,6 +215,12 @@ def test_cli_usage_errors(tmp_path, capsys):
     two_starts.write_text("certificate v1; n=2\nstart: 1\nstart: C[y1,x1]\nexpect: 1\n")
     bad_swap = tmp_path / "swap.cert"
     bad_swap.write_text("certificate v1; n=2\nstart: P[x1,x2]\nexpect: 1\n")
+    long_letter = tmp_path / "letter.cert"
+    long_letter.write_text(f"certificate v1; n=2\nstart: M[x{'1' * 5000},x2]\nexpect: 1\n")
+    long_swap = tmp_path / "long_swap.cert"
+    long_swap.write_text(f"certificate v1; n=2\nstart: P[1,{'2' * 5000}]\nexpect: 1\n")
+    long_pos = tmp_path / "long_pos.cert"
+    long_pos.write_text(f"certificate v1; n=2\nstart: 1\ninsert @{'3' * 5000}: 1\nexpect: 1\n")
     two_expects = tmp_path / "expects.cert"
     two_expects.write_text("certificate v1; n=2\nstart: 1\nexpect: 1\n\nexpect: 1\n")
     example = str(Path(__file__).resolve().parent.parent / "demos" / "example.cert")
@@ -233,6 +239,15 @@ def test_cli_usage_errors(tmp_path, capsys):
          f"error: {two_starts}: line 3: second 'start:' line (first on line 2)\n"),
         (["certify", "--file", str(bad_swap)],
          f"error: {bad_swap}: line 2: swap index 'x1' is not an integer\n"),
+        (["certify", "--file", str(long_letter)],
+         f"error: {long_letter}: line 2: letter index '{'1' * 80}'... has more "
+         "than 18 digits\n"),
+        (["certify", "--file", str(long_swap)],
+         f"error: {long_swap}: line 2: swap index '{'2' * 80}'... has more "
+         "than 18 digits\n"),
+        (["certify", "--file", str(long_pos)],
+         f"error: {long_pos}: line 3: insert position '{'3' * 80}'... has more "
+         "than 18 digits\n"),
         (["certify", "--file", str(two_expects)],
          f"error: {two_expects}: line 5: second 'expect:' line (first on line 3)\n"),
         (["certify", "--file", example, "--depth", "-1"],
