@@ -1,10 +1,8 @@
 """Twisted bilinear maps and the extension they generate.
 
-The warm-up: splicing direct products of abelian groups along an ordinary
-bilinear map (the integer Heisenberg group is the simplest case).  The real
-thing: the twisted commutator of the two partial splittings of the
-y-stabilizer, its symbolic generator table, and the extension group whose
-multiplication twists by it.
+The twisted commutator of the two partial splittings of the y-stabilizer,
+its symbolic generator table, and the extension group whose multiplication
+twists by it.
 """
 
 import random
@@ -16,18 +14,11 @@ from torellikit.extension import (
     forward,
     phi_inverse_gen,
     random_element,
-    splice_direct,
 )
 from torellikit.lpres import jensen_wahl_relators
 from torellikit.extension import is_ext_identity, phi_inverse_word
 from torellikit.symwords import format_token, interpret, parse_token, std_basis
 from torellikit.twisted import birman_data, lambda_bar, tb_check, tlambda2
-
-# --- the Heisenberg splice -------------------------------------------------
-H = splice_direct((0,), (0,), (0,), [[(1,)]])
-a, b = H.iota_a((1,)), H.iota_b((1,))
-print("Heisenberg commutator [i1(1), i2(1)] =", H.commutator(a, b))
-print()
 
 # --- the twisted commutator ------------------------------------------------
 n = 2

@@ -21,7 +21,9 @@ the same automorphism.
 
 The rank in the header is at most ``MAX_RANK``; a larger one is a parse
 error.  The depth is at least 0 and at most ``MAX_DEPTH``; the checker
-raises ``ValueError`` on any other before it parses or builds anything.
+raises ``ValueError`` on any other before it parses or builds anything,
+and on a rank above ``MAX_RANK_AT_DEPTH[depth]`` (depth 2 needs rank at
+most 4) before it builds anything.
 An insertion that is not an inverse pair is looked up level by level.
 Level 0 is the set of seed relation instances (98, 918, 3852, 25470 and
 91448 of them at n = 2, 3, 4, 6 and 8), and level d holds the image of
@@ -39,9 +41,11 @@ decides where to look.  A level is built once per process, on the first
 insertion that misses every level below it.  On a 2-core x86-64 machine
 with CPython 3.11, cold in a fresh interpreter, the build took 0.09-0.11 s
 at n = 3, depth 1 (7,344 hashes, 19 MB peak), 0.28-0.36 s at n = 4,
-depth 1 (25 MB), 3.1-4.1 s at n = 3, depth 2 (264,384 hashes, 38 MB) and
-1.7-2.3 s at n = 8, depth 0 (the seed enumeration, 117 MB).  After the
-build, rejecting a non-relator took 0.01-0.08 ms at each of these.
+depth 1 (25 MB), 3.1-4.1 s at n = 3, depth 2 (264,384 hashes, 38 MB),
+19-26 s at n = 4, depth 2 (2,033,856 hashes, 164 MB), 1.7-2.3 s at n = 8,
+depth 0 (the seed enumeration, 117 MB) and 5.0-6.7 s at n = 8, depth 1
+(731,584 hashes, 183 MB).  After the build, rejecting a non-relator took
+0.01-0.08 ms at each of these.
 """
 
 from __future__ import annotations
@@ -89,8 +93,11 @@ class CertificateError(ValueError):
     pass
 
 
-MAX_RANK = 8
-MAX_DEPTH = 2
+# the highest rank each depth may index, by depth: level 2 above rank 4
+# would hold from 9,290,400 hashes (n = 5) to 201,917,184 (n = 8)
+MAX_RANK_AT_DEPTH = (8, 8, 4)
+MAX_RANK = MAX_RANK_AT_DEPTH[0]
+MAX_DEPTH = len(MAX_RANK_AT_DEPTH) - 1
 
 
 def parse_certificate(text: str) -> Certificate:
@@ -279,9 +286,13 @@ def _relator_closure_member(word: SymWord, n: int, depth: int) -> bool:
                for level in range(max(depth, 0) + 1) for tokens in targets)
 
 
-def _check_depth(depth: int) -> None:
+def _check_depth(depth: int, n: int | None = None) -> None:
     if not 0 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth {depth} out of range 0..{MAX_DEPTH}")
+    if n is not None and n > MAX_RANK_AT_DEPTH[depth]:
+        raise ValueError(
+            f"depth {depth} needs rank <= {MAX_RANK_AT_DEPTH[depth]}, got {n}"
+        )
 
 
 def check_certificate(source: str, path: str = "<certificate>",
@@ -300,8 +311,9 @@ def check_certificate(source: str, path: str = "<certificate>",
 def replay_certificate(cert: Certificate, path: str = "<certificate>",
                        depth: int = 1) -> CertReport:
     """Validate and replay a parsed certificate; see the module docstring.
-    A depth outside 0..``MAX_DEPTH`` raises ``ValueError``."""
-    _check_depth(depth)
+    A depth outside 0..``MAX_DEPTH``, or one that needs a lower rank than
+    the certificate's, raises ``ValueError``."""
+    _check_depth(depth, cert.n)
     report = CertReport(path=path, ok=True)
     basis = std_basis(cert.n)
     current = cert.start

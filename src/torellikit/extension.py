@@ -216,105 +216,3 @@ def phi_inverse_word(tokens, group: ExtGroup) -> ExtElement:
         out = ext_mul(group, out, g)
     return out
 
-
-# ---------------------------------------------------------------------------
-# the abelian warm-up: splicing direct products along a bilinear map
-
-
-class SplicedGroup:
-    """Triples (k, b, a) over abelian groups with multiplication twisted by
-    a bilinear map into K; the commutator of the two embeddings recovers
-    the map."""
-
-    def __init__(self, k_moduli, b_moduli, a_moduli, lam):
-        self.k_moduli = tuple(k_moduli)
-        self.b_moduli = tuple(b_moduli)
-        self.a_moduli = tuple(a_moduli)
-        self.lam = lam
-
-    def _norm(self, vec, moduli):
-        return tuple(v % m if m else v for v, m in zip(vec, moduli))
-
-    def identity(self):
-        return (
-            (0,) * len(self.k_moduli),
-            (0,) * len(self.b_moduli),
-            (0,) * len(self.a_moduli),
-        )
-
-    def element(self, k, b, a):
-        return (
-            self._norm(k, self.k_moduli),
-            self._norm(b, self.b_moduli),
-            self._norm(a, self.a_moduli),
-        )
-
-    def mul(self, g1, g2):
-        k1, b1, a1 = g1
-        k2, b2, a2 = g2
-        cross = self.lam(a1, b2)
-        k = tuple(x + y + c for x, y, c in zip(k1, k2, cross))
-        b = tuple(x + y for x, y in zip(b1, b2))
-        a = tuple(x + y for x, y in zip(a1, a2))
-        return self.element(k, b, a)
-
-    def inv(self, g):
-        k, b, a = g
-        cross = self.lam(a, b)  # lam(-a, -b) = lam(a, b) by bilinearity
-        return self.element(
-            tuple(-x + c for x, c in zip(k, cross)),
-            tuple(-x for x in b),
-            tuple(-x for x in a),
-        )
-
-    def iota_a(self, a):
-        return self.element((0,) * len(self.k_moduli), (0,) * len(self.b_moduli), a)
-
-    def iota_b(self, b):
-        return self.element((0,) * len(self.k_moduli), b, (0,) * len(self.a_moduli))
-
-    def commutator(self, g1, g2):
-        return self.mul(self.mul(g1, g2), self.mul(self.inv(g1), self.inv(g2)))
-
-
-def splice_associativity_check(group: SplicedGroup, samples: int = 100,
-                               seed: int = DEFAULT_SEED) -> list:
-    """Sample triples for associativity; a non-bilinear table (or one that
-    does not respect the torsion moduli) shows up here."""
-    rng = Random(seed)
-
-    def rand(moduli):
-        return tuple(
-            rng.randrange(m) if m else rng.randint(-4, 4) for m in moduli
-        )
-
-    failures = []
-    for case in range(samples):
-        g1, g2, g3 = (
-            group.element(
-                rand(group.k_moduli), rand(group.b_moduli), rand(group.a_moduli)
-            )
-            for _ in range(3)
-        )
-        if group.mul(group.mul(g1, g2), g3) != group.mul(g1, group.mul(g2, g3)):
-            failures.append((g1, g2, g3))
-    return failures
-
-
-def splice_direct(k_moduli, b_moduli, a_moduli, lam) -> SplicedGroup:
-    """Build the spliced group; ``lam`` is either a callable (a, b) -> K
-    vector or a nested matrix of K vectors indexed by (a-gen, b-gen)."""
-    if not callable(lam):
-        table = lam
-
-        def lam_fn(a, b):
-            out = [0] * len(k_moduli)
-            for i, ai in enumerate(a):
-                for j, bj in enumerate(b):
-                    if ai and bj:
-                        for t, c in enumerate(table[i][j]):
-                            out[t] += ai * bj * c
-            return tuple(out)
-
-        return SplicedGroup(k_moduli, b_moduli, a_moduli, lam_fn)
-    return SplicedGroup(k_moduli, b_moduli, a_moduli, lam)

@@ -9,8 +9,8 @@ interpretation turns it into conjugation:
     interpret(phi_gen(s, t)) == s_endo * interpret(t) * s_endo^-1
 
 Rule resolution order: swap/inversion relabeling, then the fixed cases,
-then the explicit rewrite rows.  A totality audit asserts every (s, t)
-shape resolves exactly once.
+then the explicit rewrite rows.  The ``phi-conj`` suite resolves every
+signed (s, t) pair and checks the identity above on each.
 
 ``phi_apply(s, w, n)`` extends the rule of one letter over a token word
 and returns the image freely reduced: each token's image is entered
@@ -42,7 +42,6 @@ from .symwords import (
     _push,
     _reduce_tokens,
     _symword,
-    alphabet,
     in_alphabet,
     interpret,
     is_generator,
@@ -309,17 +308,6 @@ def phi_word(u, w, n: int) -> SymWord:
     for s in reversed(u):
         tokens = phi_apply(s, tokens, n)
     return _symword(basis, tokens) if u else SymWord(basis, tokens)
-
-
-def audit_phi_totality(n: int) -> int:
-    """Assert every (s, t) pair resolves to exactly one rule; returns the
-    number of pairs checked."""
-    count = 0
-    for s in signed_alphabet("S_Q", n):
-        for t in alphabet("S_K", n):
-            phi_gen(s, t, n)
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -787,51 +775,6 @@ def relation_catalog(kind: str, n: int, k: int = 1) -> Iterator[RelationInstance
     if k < lowest_k:
         raise ValueError(f"{kind} needs k >= {lowest_k}")
     return iter(build(n, k))
-
-
-# ---------------------------------------------------------------------------
-# reduction to a smaller generating set
-
-
-def genset_reduce(t, allowed, n: int) -> SymWord:
-    """Rewrite a commutator transvection over a chosen subset.
-
-    ``allowed`` maps each ordered x-pair (a, b) of generator codes to the
-    one representative Mc[a^alpha, y^eps, b^beta] kept for that pair.  The
-    rewrites used are the three sign-flipping relation families (third
-    letter, middle letter, first letter), so the result interprets to the
-    same automorphism.  Conjugation moves and their inverses come back
-    unchanged; a token outside S_K^{+-1}, or the inverse of a commutator
-    transvection, raises ``ValueError``.
-    """
-    if not in_alphabet(t, "S_K", n):
-        raise ValueError(f"not an S_K token: {t!r}")
-    basis = std_basis(n)
-    y = basis.y(1)
-    if t[0] != "Mc":
-        return SymWord(basis, (t,))
-    if not is_generator(t, "S_K", n):
-        raise ValueError("expected an S_K commutator transvection")
-    (a, al), (_, ps), (q, qs) = t[1], t[2], t[3]
-    rep = allowed[(a, q)]
-    (_, ral), (_, rps), (_, rqs) = rep[1], rep[2], rep[3]
-
-    def expand(al, ps, qs):
-        if (al, ps, qs) == (ral, rps, rqs):
-            return (Mc(a, al, y, ps, q, qs),)
-        if qs != rqs:
-            # third-letter flip
-            inner = expand(al, ps, -qs)
-            return (C(y, q, qs),) + tokens_inv(inner) + (C(y, q, -qs),)
-        if ps != rps:
-            # middle-letter flip
-            inner = expand(al, -ps, qs)
-            return (C(q, y, ps),) + tokens_inv(inner) + (C(q, y, -ps),)
-        # first-letter flip
-        inner = expand(-al, ps, qs)
-        return tokens_inv(inner) + (C(y, q, qs), C(a, y, -ps), C(y, q, -qs), C(a, y, ps))
-
-    return SymWord(basis, expand(al, ps, qs))
 
 
 def verify_instance(inst: RelationInstance) -> bool:

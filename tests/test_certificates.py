@@ -89,6 +89,15 @@ def test_depth_outside_the_bound_is_refused_before_any_work(monkeypatch):
                 check_certificate(source, depth=depth)
         with pytest.raises(ValueError, match=message):
             replay_certificate(parsed, depth=depth)
+    # depth 2 needs rank <= 4: rank 5 is refused before any build, and
+    # rank 4 reaches the (monkeypatched) build
+    for n, error, message in ((5, ValueError, "depth 2 needs rank <= 4, got 5"),
+                              (4, AssertionError, "a relator level was built")):
+        text = f"certificate v1; n={n}\nstart: 1\ninsert @0: {r}\nexpect: {r}\n"
+        with pytest.raises(error, match=message):
+            check_certificate(text, depth=2)
+        with pytest.raises(error, match=message):
+            replay_certificate(parse_certificate(text), depth=2)
 
 
 def test_non_relator_insertion_rejected():

@@ -118,29 +118,6 @@ def test_jensen_wahl_relators_die():
         assert ext.is_ext_identity(group, g), inst.describe()
 
 
-def test_splice_direct():
-    # zero map: the direct product
-    D = ext.splice_direct((0,), (0,), (0,), lambda a, b: (0,))
-    x = D.element((1,), (2,), (3,))
-    assert D.mul(x, D.inv(x)) == D.identity()
-    assert D.commutator(D.iota_a((5,)), D.iota_b((7,))) == D.identity()
-    # multiplication table of the integer Heisenberg group
-    H = ext.splice_direct((0,), (0,), (0,), [[(1,)]])
-    a, b = H.iota_a((1,)), H.iota_b((1,))
-    assert H.commutator(a, b) == ((1,), (0,), (0,))
-    rng = random.Random(13)
-    for _ in range(50):
-        ga = H.iota_a((rng.randint(-5, 5),))
-        gb = H.iota_b((rng.randint(-5, 5),))
-        assert H.commutator(ga, gb) == ((ga[2][0] * gb[1][0],), (0,), (0,))
-    # associativity sampler: a torsion-compatible table passes, and a table
-    # that fails to respect the moduli is caught
-    T = ext.splice_direct((6,), (2,), (6,), [[(3,)]])
-    assert ext.splice_associativity_check(T, samples=100) == []
-    bad = ext.splice_direct((4,), (2,), (6,), [[(3,)]])
-    assert ext.splice_associativity_check(bad, samples=100)
-
-
 @pytest.mark.parametrize("n", [2, 3])
 def test_hooks_equal_the_formulas_from_iota1_iota2_and_lambda_bar(n):
     # phi is conjugation by iota2(z) iota1(a), and gamma is

@@ -1,12 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from torellikit import autos, lpres
 from torellikit.certificates import MAX_RANK
 from torellikit.lpres import (
-    audit_phi_totality,
-    genset_reduce,
     krel,
     nielsen_relators,
     orbit_plan,
@@ -53,13 +52,6 @@ def test_phi_gen_examples():
         phi_gen(M(0, 1, Y), token_inv(C(Y, 1)), N)  # inverses are not generators
     with pytest.raises(ValueError):
         phi_gen(M(0, -1, Y), C(1, Y), N)  # M[x1^-1, y] is not in S_Q^+-1
-
-
-def test_phi_totality():
-    assert audit_phi_totality(2) == len(signed_alphabet("S_Q", 2)) * len(
-        alphabet("S_K", 2)
-    )
-    assert audit_phi_totality(4) > 0
 
 
 def test_phi_is_semantic_conjugation():
@@ -202,33 +194,6 @@ def test_nielsen_families_present():
     assert "N5" in fams3 and "N4" in fams3
 
 
-def test_genset_reduce():
-    allowed = {}
-    for a in range(N):
-        for b in range(N):
-            if a != b:
-                allowed[(a, b)] = Mc(a, 1, Y, 1, b, 1)
-    for target in (
-        Mc(0, 1, Y, -1, 1, 1),
-        Mc(0, -1, Y, 1, 1, 1),
-        Mc(0, -1, Y, -1, 1, -1),
-        Mc(0, 1, Y, 1, 1, 1),
-    ):
-        word = genset_reduce(target, allowed, N)
-        assert interpret(word.tokens, B) == interpret((target,), B)
-        for tok in word.tokens:
-            if tok[0] == "Mc":
-                base = tok if tok[2][0] == Y else token_inv(tok)
-                assert base in allowed.values()
-    # conjugation moves and their inverses pass through unchanged
-    for tok in (C(Y, 1), token_inv(C(1, Y))):
-        assert genset_reduce(tok, allowed, N).tokens == (tok,)
-    # a token outside S_K^{+-1}, or a commutator transvection's inverse, raises
-    for tok in (("P", 0, 8), M(0, 1, 1), token_inv(Mc(0, 1, Y, 1, 1, 1))):
-        with pytest.raises(ValueError):
-            genset_reduce(tok, {}, 3)
-
-
 def test_phi_fixes_relators_semantically():
     rng = random.Random(8)
     instances = list(rk0_instances(N))
@@ -255,14 +220,17 @@ def _moves(n, perm):
     return {t: lpres._permute(t, perm) for t in tokens}
 
 
-def _equivariance_failures(n, perm):
+def _equivariance_failures(n, perm, image_rank=None):
     """The (s, t) of S_Q^+-1 x S_K where relabelling phi_s(t) by the
-    permutation differs, token for token, from phi of the relabelled pair."""
+    permutation differs, token for token, from phi of the relabelled pair.
+    With ``image_rank``, ``perm`` maps rank n into that rank, where the
+    relabelled pair is taken."""
     move = _moves(n, perm)
     phi = lpres.phi_gen
+    target = n if image_rank is None else image_rank
     return [
         (s, t) for s in signed_alphabet("S_Q", n) for t in alphabet("S_K", n)
-        if tuple(map(move.get, phi(s, t, n))) != phi(move[s], move[t], n)
+        if tuple(map(move.get, phi(s, t, n))) != phi(move[s], move[t], target)
     ]
 
 
@@ -326,3 +294,51 @@ def test_a_changed_rule_of_one_letter_breaks_equivariance(monkeypatch):
     monkeypatch.setattr(lpres, "phi_gen", changed)
     swap, _ = _generators_of_s_n(n)
     assert _equivariance_failures(n, swap)
+
+
+# ---------------------------------------------------------------------------
+# rank stability: the seeds and the rules do not depend on n
+
+
+def _inclusion(m):
+    """x1..xm into x1..x(m+1), y to y, as ``_permute`` takes it."""
+    return tuple(range(m)) + (m + 1,)
+
+
+def _full_support_seeds(m):
+    """The rank-m seeds that mention each of x1..xm."""
+    return [w for w in (inst.word.tokens for inst in rk0_instances(m))
+            if {part[0] for tok in w for part in tok[1:]} - {m} == set(range(m))]
+
+
+def test_seeds_are_the_embeddings_of_the_seeds_of_rank_at_most_4():
+    full = {m: _full_support_seeds(m) for m in (2, 3, 4)}
+    assert [len(seeds) for seeds in full.values()] == [98, 624, 768]
+    for n in range(2, 6):
+        embedded = {
+            tuple(lpres._permute(t, xs + (n,)) for t in w)
+            for m, seeds in full.items() for xs in combinations(range(n), m)
+            for w in seeds
+        }
+        assert {inst.word.tokens for inst in rk0_instances(n)} == embedded, n
+
+
+def test_phi_gen_commutes_with_the_inclusion_of_each_rank():
+    for m in range(2, MAX_RANK):
+        assert _equivariance_failures(m, _inclusion(m), m + 1) == [], m
+
+
+def test_a_rule_that_reads_n_breaks_rank_stability(monkeypatch):
+    original = lpres.phi_gen
+
+    def reads_n(s, t, n):
+        image = original(s, t, n)
+        y = std_basis(n).y(1)
+        if (s, t) == (M(0, 1, y), C(1, y)):
+            last = C(n - 1, y)  # C[xn,y]: it names the rank
+            return (last,) + image + (token_inv(last),)
+        return image
+
+    monkeypatch.setattr(lpres, "phi_gen", reads_n)
+    y = std_basis(2).y(1)
+    assert _equivariance_failures(2, _inclusion(2), 3) == [(M(0, 1, y), C(1, y))]

@@ -1,4 +1,8 @@
-"""Property tests of the token notation and the certificate parser."""
+"""Property tests of the token notation, the certificate parser and the
+command line."""
+
+import contextlib
+import io
 
 import pytest
 
@@ -6,6 +10,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from torellikit.certificates import CertificateError, parse_certificate  # noqa: E402
+from torellikit.cli import main  # noqa: E402
+from torellikit.lpres import _CATALOGS, krel  # noqa: E402
 from torellikit.symwords import (  # noqa: E402
     ALPHABETS,
     format_token,
@@ -13,6 +19,7 @@ from torellikit.symwords import (  # noqa: E402
     signed_alphabet,
     std_basis,
 )
+from torellikit.suites import suite_names  # noqa: E402
 
 TOKENS = [(n, tok) for n in (2, 3, 4) for kind in ALPHABETS
           for tok in signed_alphabet(kind, n)]
@@ -90,3 +97,112 @@ def test_malformed_tokens_have_one_line_messages():
         with pytest.raises(CertificateError) as exc:
             parse_certificate(cert)
         assert str(exc.value) == f"line 2: {message}"
+
+
+# ---------------------------------------------------------------------------
+# whole certificate files and command lines end in exit 0, 1 or 2, with at
+# most one line on stderr.  Each draw is well formed but for at most one
+# line or value, so most runs get past the parser.
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+# junk in place of a value: never an integer outside the small ones drawn
+# on purpose, so no run asks for a large rank or sample count
+JUNK = st.one_of(st.sampled_from(["", "x", "-1", "0", "3", "1.5"]),
+                 st.text(max_size=8).filter(_not_an_int))
+RELATOR = str(krel(1, 2, a=1, b=2))
+WORDS = st.one_of(
+    st.sampled_from(["1", RELATOR, RELATOR + " * C[y1,x1]"]),
+    st.lists(st.sampled_from(["C[y1,x1]", "C[x1,y1]^-1", "C[x2,y1]", "M[x1,y1]",
+                              "I[1]", "P[1,2]", "C[y1,x3]"]), max_size=4)
+    .map(lambda tokens: " * ".join(tokens) or "1"),
+)
+
+
+@st.composite
+def certify_runs(draw):
+    """A certificate's text and the certify argv after ``--file``.  A file
+    that reaches the relator lookup has rank 2 or 3, and rank 2 at depth 2,
+    so no run builds an index larger than the (3, 1) one."""
+    depth = draw(st.sampled_from([None, "0", "1", "2", "junk"]))
+    depth = draw(JUNK) if depth == "junk" else depth
+    rank = 2 if depth == "2" else draw(st.sampled_from([2, 3]))
+    lines = [f"certificate v1; n={rank}", "start: " + draw(WORDS)]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.append(f"insert @{draw(st.integers(0, 4))}: {draw(WORDS)}")
+    lines.append("expect: " + draw(WORDS))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at + draw(st.integers(0, 1))] = [draw(st.one_of(
+            JUNK, st.sampled_from(["certificate v1; n=9", "certificate v2; n=2",
+                                   "# a comment", "insert @0 C[y1,x1]"]),
+            st.builds("insert @{}: 1".format, JUNK),
+            st.builds("{}: 1".format, st.sampled_from(["start", "expect"])),
+        ))]
+    return "\n".join(lines) + "\n", [] if depth is None else ["--depth", depth]
+
+
+def _corrupt(draw, argv):
+    """``argv`` with at most one value replaced by junk, or one argument
+    appended."""
+    choice = draw(st.integers(0, 3))
+    if choice == 1:
+        argv[draw(st.sampled_from(range(2, len(argv), 2)))] = draw(JUNK)
+    elif choice == 2:
+        argv.append(draw(st.sampled_from(["--threads", "extra", "-h", "--bogus=1"])))
+    return argv
+
+
+@st.composite
+def cli_argvs(draw):
+    """A ``verify`` or ``catalog`` argv at rank 1 or 2 and at most two
+    samples, so each run takes milliseconds."""
+    small = st.sampled_from(["1", "2"])
+    if draw(st.booleans()):
+        argv = ["catalog", "--dump", draw(st.sampled_from(sorted(_CATALOGS))),
+                "--n", draw(small)]
+    else:
+        argv = ["verify", "--suite", draw(st.sampled_from(suite_names())),
+                "--n", draw(small), "--samples", draw(small)]
+        if draw(st.booleans()):
+            argv += ["--seed", draw(st.one_of(st.integers().map(str),
+                                              st.integers().map(hex)))]
+        if draw(st.booleans()):
+            argv += ["--format", draw(st.sampled_from(["json", "text"]))]
+    if draw(st.booleans()):
+        argv += ["--k", draw(small)]
+    return _corrupt(draw, argv)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@hypothesis.settings(max_examples=150, deadline=2000)
+@hypothesis.given(certify_runs(), st.integers(0, 9))
+def test_certify_ends_in_one_exit_code_and_one_line(tmp_path_factory, run, missing):
+    text, depth = run
+    path = tmp_path_factory.getbasetemp() / "drawn.cert"
+    path.write_text(text, encoding="utf-8")
+    argv = ["certify", "--file", str(path) + ".missing" if missing == 0 else str(path)]
+    code, err = _run(argv + depth)
+    assert code in (0, 1, 2), (depth, text)
+    assert err.count("\n") <= 1, (depth, text, err)
+
+
+@hypothesis.settings(max_examples=150, deadline=2000)
+@hypothesis.given(cli_argvs())
+def test_verify_and_catalog_end_in_one_exit_code_and_one_line(argv):
+    code, err = _run(argv)
+    assert code in (0, 1, 2), argv
+    assert err.count("\n") <= 1, (argv, err)

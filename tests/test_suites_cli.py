@@ -223,6 +223,8 @@ def test_cli_usage_errors(tmp_path, capsys):
     long_pos.write_text(f"certificate v1; n=2\nstart: 1\ninsert @{'3' * 5000}: 1\nexpect: 1\n")
     two_expects = tmp_path / "expects.cert"
     two_expects.write_text("certificate v1; n=2\nstart: 1\nexpect: 1\n\nexpect: 1\n")
+    rank5 = tmp_path / "rank5.cert"
+    rank5.write_text("certificate v1; n=5\nstart: 1\nexpect: 1\n")
     example = str(Path(__file__).resolve().parent.parent / "demos" / "example.cert")
     for argv, message in (
         (["certify", "--file", "/nonexistent/path.cert"], "No such file"),
@@ -254,6 +256,8 @@ def test_cli_usage_errors(tmp_path, capsys):
          f"error: depth -1 out of range 0..{MAX_DEPTH}\n"),
         (["certify", "--file", example, "--depth", str(MAX_DEPTH + 1)],
          f"error: depth {MAX_DEPTH + 1} out of range 0..{MAX_DEPTH}\n"),
+        (["certify", "--file", str(rank5), "--depth", "2"],
+         "error: depth 2 needs rank <= 4, got 5\n"),
         (["catalog", "--dump", "rk0", "--n", "1"], "n >= 2"),
         (["catalog", "--dump", "rk0", "--n", "2", "--k", "7"],
          "rk0 works over k = 1, got 7"),
