@@ -14,7 +14,11 @@ Composition builds only what changed: where ``g`` sends a generator to a
 generator, ``f * g`` reuses ``f``'s image word.  So composing with a
 transvection, a conjugation move or an inversion builds one new image, and
 with a swap none.  Image blocks are joined with cancellation only at each
-junction, since every image is already freely reduced.
+junction, since every image is already freely reduced.  A product with the
+shared identity of the basis (:func:`identity`) builds nothing at all: it
+returns the other factor, whose images and factorization are what the
+composition would build.  ``*`` tells that object apart by one pointer
+compare, since it is its own inverse: its ``_inv`` is itself.
 
 Every image is built by one letter-level kernel, ``_image_letters``, which
 reads the generator images as letter tuples.  The inverse block of an
@@ -68,6 +72,8 @@ class Endo:
     on Z^{n+k} (see :func:`torellikit.semidirect.aut_act_on_Zn`); and
     ``_inv``, the inverse :meth:`inverse` folds from the factorization.  The
     inverse's own ``_inv`` points back, so ``f.inverse().inverse() is f``.
+    The shared identity of each basis is the one Endo whose ``_inv`` is
+    itself.
     """
 
     __slots__ = ("basis", "images", "factors", "_hash", "_dual", "_inv")
@@ -99,6 +105,10 @@ class Endo:
         basis = self.basis
         if other.basis is not basis and other.basis != basis:
             raise ValueError("cannot compose over different bases")
+        if other._inv is other:
+            return self
+        if self._inv is self:
+            return other
         mine = self.images
         images = []
         imgs = invs = None
@@ -257,12 +267,12 @@ _IDENTITIES: dict = {}
 
 def identity(basis: Basis) -> Endo:
     """The identity of F_{n,k}; one shared object per basis (Endo is
-    immutable)."""
+    immutable), and its own inverse."""
     out = _IDENTITIES.get(basis)
     if out is None:
-        out = _IDENTITIES.setdefault(
-            basis, Endo(basis, tuple(basis.generators()), ())
-        )
+        one = Endo(basis, tuple(basis.generators()), ())
+        one._inv = one
+        out = _IDENTITIES.setdefault(basis, one)
     return out
 
 

@@ -181,7 +181,7 @@ def _rank(n: int) -> tuple:
     rank = _RANKS.get(n)
     if rank is None:
         seeds = tuple(inst.word.tokens for inst in rk0_instances(n))
-        rank = _RANKS[n] = (seeds, tuple(signed_alphabet("S_Q", n)))
+        rank = _RANKS[n] = (seeds, signed_alphabet("S_Q", n))
     return rank
 
 

@@ -18,6 +18,15 @@ of a quotient element q = (z, a): ``phi(q)`` is conjugation by ``L_q``,
 and ``gamma(q1, q2) = L_q1 iota2(z2) L_q1^-1 iota2(-(a1 . z2))``.  A group
 computes each lift once per quotient element, and keeps it, with its
 inverse, for as long as that element is alive.
+
+``ext_mul`` composes ``phi(q1)(k2) * gamma(q1, q2)`` first and ``k1`` last.
+In that model the inner product is ``L k2 L^-1 L iota2(z2) L^-1 ...``,
+whose middle ``L^-1 L`` cancels while the words are still short, and the
+long ``k1`` is composed with the rest once instead of twice.  Two hooks
+skip what the algebra makes the identity: ``gamma(q1, q2)`` is the kernel
+identity when ``z2`` is zero (it is then ``L 1 L^-1 1``), and
+``phi(q)`` sends the kernel identity to itself.  Every product is the one
+the left-to-right composition builds, image for image.
 """
 
 from __future__ import annotations
@@ -61,7 +70,8 @@ class ExtElement:
 
 
 def ext_mul(group: ExtGroup, g1: ExtElement, g2: ExtElement) -> ExtElement:
-    k = g1.k * group.phi(g1.q, g2.k) * group.gamma(g1.q, g2.q)
+    # phi * gamma first: see the module docstring
+    k = g1.k * (group.phi(g1.q, g2.k) * group.gamma(g1.q, g2.q))
     return ExtElement(k, semi_mul(g1.q, g2.q))
 
 
@@ -86,7 +96,7 @@ def is_ext_identity(group: ExtGroup, g: ExtElement) -> bool:
 
 def birman_ext(n: int) -> ExtGroup:
     """The extension data induced by the twisted commutator at rank n."""
-    big = std_basis(n)
+    one = autos.identity(std_basis(n))
     # q -> L_q (see the module docstring), for as long as q is alive
     lifts = WeakKeyDictionary()
 
@@ -97,6 +107,8 @@ def birman_ext(n: int) -> ExtGroup:
         return L
 
     def phi(q: QElement, k: autos.Endo) -> autos.Endo:
+        if k is one:
+            return k
         L = lift(q)
         return L * k * L.inverse()
 
@@ -107,6 +119,8 @@ def birman_ext(n: int) -> ExtGroup:
     def gamma(q1: QElement, q2: QElement) -> autos.Endo:
         # iota2(z1) lambda_bar(a1, z2) iota2(-z1), with the y-transvection
         # iota2(-(a1 . z2)) moved past iota2(-z1): y-transvections commute
+        if not any(q2.z):
+            return one
         moved = aut_act_on_Zn(q1.a, q2.z)
         return _twisted_commutator(lift(q1), q2.z, moved, n)
 
@@ -115,7 +129,7 @@ def birman_ext(n: int) -> ExtGroup:
         phi=phi,
         phi_inv=phi_inv,
         gamma=gamma,
-        kernel_identity=autos.identity(big),
+        kernel_identity=one,
     )
 
 

@@ -20,9 +20,10 @@ inverses and relator insertions of reduced words cancel only where their
 pieces meet, so they are built without a second reduction pass.
 
 The alphabets ``S_A``, ``S_Z``, ``S_Q``, ``S_K``, ``S_C`` (all over the
-basis ``x1..xn, y``) are each stated once, by the token list of
-:func:`alphabet`; membership (:func:`is_generator`, :func:`in_alphabet`)
-is read from it.
+basis ``x1..xn, y``) are each stated once, by the token loop of
+``_generators``.  Each is built once per rank and kept: :func:`alphabet`
+and :func:`signed_alphabet` return the kept tuples, and membership
+(:func:`is_generator`, :func:`in_alphabet`) is read from their sets.
 
 :func:`interpret` evaluates a token word as an automorphism by one fold
 over a list of image letter tuples (``autos._fold``, which also inverts
@@ -200,8 +201,18 @@ def std_basis(n: int) -> Basis:
     return basis
 
 
-def alphabet(kind: str, n: int) -> list:
+def alphabet(kind: str, n: int) -> tuple:
     """All generator tokens of the given alphabet at rank n (k = 1)."""
+    return _members(kind, n)[0]
+
+
+def signed_alphabet(kind: str, n: int) -> tuple:
+    """Generators plus inverses, deduplicated (swaps and inversions are
+    their own inverses)."""
+    return _members(kind, n)[1]
+
+
+def _generators(kind: str, n: int) -> list:
     if n < 2:
         raise ValueError("alphabets need n >= 2")
     b = std_basis(n)
@@ -244,41 +255,31 @@ def alphabet(kind: str, n: int) -> list:
     return gens
 
 
-def signed_alphabet(kind: str, n: int) -> list:
-    """Generators plus inverses, deduplicated (swaps and inversions are
-    their own inverses)."""
-    gens = alphabet(kind, n)
-    out = list(gens)
-    seen = set(gens)
-    for g in gens:
-        t = token_inv(g)
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
-
-
-# (kind, n) -> (the generators, the generators and their inverses)
+# (kind, n) -> (the generators, the generators and their inverses, and the
+# same two as sets)
 _MEMBERS: dict = {}
 
 
 def _members(kind: str, n: int) -> tuple:
     members = _MEMBERS.get((kind, n))
     if members is None:
+        gens = tuple(_generators(kind, n))
+        # the generators, then each inverse that is not one of them
+        signed = tuple(dict.fromkeys(gens + tuple(map(token_inv, gens))))
         members = _MEMBERS[(kind, n)] = (
-            frozenset(alphabet(kind, n)), frozenset(signed_alphabet(kind, n))
+            gens, signed, frozenset(gens), frozenset(signed)
         )
     return members
 
 
 def is_generator(tok, kind: str, n: int) -> bool:
     """Whether the token is a generator (not an inverse) of the alphabet."""
-    return tok in _members(kind, n)[0]
+    return tok in _members(kind, n)[2]
 
 
 def in_alphabet(tok, kind: str, n: int) -> bool:
     """Whether the token is a generator of the alphabet or an inverse of one."""
-    return tok in _members(kind, n)[1]
+    return tok in _members(kind, n)[3]
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,10 @@ def iota1(f, n: int) -> autos.Endo:
     return interpret(f, big)
 
 
+# (tuple(z), n) -> iota2(z, n)
+_IOTA2: dict = {}
+
+
 def iota2(z, n: int) -> autos.Endo:
     """The y-transvection product M[x_1,y]^{z_1} ... M[x_n,y]^{z_n}.
 
@@ -80,10 +84,25 @@ def iota2(z, n: int) -> autos.Endo:
     y-transvections commute and move distinct generators.  The
     factorization is that of the product, |z_i| atoms M[x_i, y^{sign z_i}]
     for each i in order, so ``iota2(z, n).inverse() == iota2(-z, n)``.
+
+    Built once per vector and rank and kept, with the inverse once that is
+    built (an Endo is immutable): the extension's products meet the same
+    few hundred vectors thousands of times.  The zero vector gives the
+    shared ``autos.identity(std_basis(n))``.
     """
     if len(z) != n:
         raise ValueError("vector length does not match the rank")
+    key = (tuple(z), n)
+    out = _IOTA2.get(key)
+    if out is None:
+        out = _IOTA2[key] = _iota2(key[0], n)
+    return out
+
+
+def _iota2(z: tuple, n: int) -> autos.Endo:
     one = autos.identity(std_basis(n))
+    if not any(z):
+        return one
     big = one.basis
     images = list(one.images)
     y_plus = images[big.y(1)].letters

@@ -543,3 +543,22 @@ def test_inverse_fold_matches_the_product_of_inverted_atoms(n):
                 assert all(letter is _LETTERS[letter] for letter in atom[3])
         assert f.inverse() is inv and inv.inverse() is f
         assert (f * inv).is_identity and (inv * f).is_identity
+
+
+def test_product_with_the_shared_identity_is_the_other_factor():
+    b = Basis(3, 1)
+    one = identity(b)
+    # the same identity, not the shared object: composes in full
+    plain_one = Endo(b, tuple(b.generators()), ())
+    rng = random.Random(47)
+    factored = transvection(b, b.x(1), 1, b.word("y1 x2")) * conjugation(b, b.x(3), b.y(1))
+    unfactored = Endo(b, [rand_word(b, rng, 5) for _ in range(b.size)])
+    assert unfactored.factors is None
+    for f in (factored, unfactored, one):
+        for prod, full in ((f * one, f * plain_one), (one * f, plain_one * f)):
+            assert prod is f
+            assert prod == full and prod.factors == full.factors
+    assert one.inverse() is one
+    assert factored * plain_one is not factored
+    with pytest.raises(ValueError):
+        factored * identity(Basis(2, 1))

@@ -5,9 +5,9 @@ import pytest
 
 from torellikit import extension as ext
 from torellikit.lpres import jensen_wahl_relators
-from torellikit.semidirect import semi_mul
+from torellikit.semidirect import QElement, aut_act_on_Zn, semi_mul
 from torellikit.symwords import C, alphabet, interpret, parse_token, std_basis
-from torellikit.twisted import iota1, iota2, lambda_bar
+from torellikit.twisted import _twisted_commutator, iota1, iota2, lambda_bar
 
 N = 2
 GROUP = ext.birman_ext(N)
@@ -135,3 +135,36 @@ def test_hooks_equal_the_formulas_from_iota1_iota2_and_lambda_bar(n):
             assert group.phi(q1, k) == up * A * k * A.inverse() * down
             assert group.phi_inv(q1, k) == A.inverse() * down * k * up * A
             assert group.gamma(q1, q2) == up * lambda_bar(q1.a, q2.z, n) * down
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ext_mul_equals_the_left_associated_product(n):
+    # ext_mul composes phi * gamma before k1; the definition's
+    # left-to-right product builds the same images and factorization
+    group = ext.birman_ext(n)
+    rng = random.Random(29 + n)
+    els = [ext.random_element(group, rng) for _ in range(10)]
+    els += [group.identity(), ext.ExtElement(els[0].k, QElement((0,) * n, els[1].q.a))]
+    for g1, g2 in zip(els, els[3:] + els[:3]):
+        prod = ext.ext_mul(group, g1, g2)
+        k = g1.k * group.phi(g1.q, g2.k) * group.gamma(g1.q, g2.q)
+        q = semi_mul(g1.q, g2.q)
+        assert prod.k == k and prod.k.factors == k.factors
+        assert prod.q.z == q.z and prod.q.a == q.a
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hooks_return_the_kernel_identity_where_the_algebra_does(n):
+    # gamma(q1, q2) = L 1 L^-1 1 when z2 is zero, and phi(q) fixes 1
+    group = ext.birman_ext(n)
+    one = group.kernel_identity
+    rng = random.Random(37 + n)
+    for _ in range(12):
+        q1 = ext.random_q(n, rng)
+        q2 = QElement((0,) * n, ext.random_q(n, rng).a)
+        lift = iota2(q1.z, n) * iota1(q1.a, n)
+        full = _twisted_commutator(lift, q2.z, aut_act_on_Zn(q1.a, q2.z), n)
+        assert group.gamma(q1, q2) is one
+        assert full == one
+        assert group.phi(q1, one) is one
+        assert (lift * one * lift.inverse()).is_identity

@@ -44,6 +44,52 @@ def test_alphabet_counts():
         alphabet("S_K", 1)
 
 
+def _alphabet_lists(kind, n):
+    """The generators and the signed alphabet as lists, built by the loop
+    that built them on every call before the alphabets were kept."""
+    b = std_basis(n)
+    y = b.y(1)
+    xs = [b.x(i) for i in range(1, n + 1)]
+    gens = []
+    if kind in ("S_A", "S_Q", "S_C"):
+        for a in xs:
+            for c in xs:
+                if a != c:
+                    gens += [M(a, 1, c), M(a, -1, c)]
+        gens += [P(a, c) for i, a in enumerate(xs) for c in xs[i + 1:]]
+        gens += [I(a) for a in xs]
+    if kind in ("S_Z", "S_Q"):
+        gens += [M(a, 1, y) for a in xs]
+    if kind == "S_C":
+        for a in xs:
+            gens += [M(a, 1, y), M(a, -1, y), C(y, a)]
+    if kind == "S_K":
+        for a in xs:
+            gens += [C(y, a), C(a, y)]
+        gens += [Mc(a, asign, y, eps, c, csign)
+                 for a in xs for c in xs if a != c
+                 for asign in (1, -1) for eps in (1, -1) for csign in (1, -1)]
+    signed = list(gens)
+    for g in gens:
+        if token_inv(g) not in signed:
+            signed.append(token_inv(g))
+    return gens, signed
+
+
+def test_alphabets_are_kept_tuples_in_the_old_order():
+    for n in (2, 3):
+        for kind in ALPHABETS:
+            gens, signed = alphabet(kind, n), signed_alphabet(kind, n)
+            assert isinstance(gens, tuple) and isinstance(signed, tuple)
+            assert alphabet(kind, n) is gens and signed_alphabet(kind, n) is signed
+            assert (list(gens), list(signed)) == _alphabet_lists(kind, n)
+    for build in (alphabet, signed_alphabet):
+        with pytest.raises(ValueError, match=r"^alphabets need n >= 2$"):
+            build("S_K", 1)
+        with pytest.raises(ValueError, match=r"^unknown alphabet 'S_X'$"):
+            build("S_X", 2)
+
+
 def test_std_basis_is_shared_per_rank():
     assert std_basis(3) is std_basis(3)
     assert std_basis(2) is not std_basis(3)

@@ -101,6 +101,21 @@ def test_iota2_closed_form_matches_the_fold():
                 assert all(letter is _LETTERS[letter] for letter in image.letters)
 
 
+def test_iota2_is_built_once_per_vector_and_rank():
+    assert iota2([1, -2, 0], 3) is iota2((1, -2, 0), 3)
+    iota2((1, 1), 2)
+    with pytest.raises(ValueError, match="does not match the rank"):
+        iota2((1, 1), 3)
+    with pytest.raises(ValueError, match="does not match the rank"):
+        iota2([1, 1, 1, 1], 3)
+    rng = random.Random(0x10A3)
+    for n in (2, 3):
+        assert iota2((0,) * n, n) is identity(std_basis(n))
+        for _ in range(20):
+            z = [rng.randint(-3, 3) for _ in range(n)]
+            assert iota2(z, n).inverse() == iota2([-c for c in z], n)
+
+
 def test_lambda_gen_table_rows():
     from torellikit.symwords import P
 
