@@ -41,10 +41,10 @@ decides where to look.  A level is built once per process, on the first
 insertion that misses every level below it.  On a 2-core x86-64 machine
 with CPython 3.11, cold in a fresh interpreter, the build took 0.09-0.11 s
 at n = 3, depth 1 (7,344 hashes, 19 MB peak), 0.28-0.36 s at n = 4,
-depth 1 (25 MB), 3.1-4.1 s at n = 3, depth 2 (264,384 hashes, 38 MB),
-19-26 s at n = 4, depth 2 (2,033,856 hashes, 164 MB), 1.7-2.3 s at n = 8,
+depth 1 (25 MB), 3.1-4.1 s at n = 3, depth 2 (264,384 hashes, 28 MB),
+19-26 s at n = 4, depth 2 (2,033,856 hashes, 76 MB), 1.7-2.3 s at n = 8,
 depth 0 (the seed enumeration, 117 MB) and 5.0-6.7 s at n = 8, depth 1
-(731,584 hashes, 183 MB).  After the build, rejecting a non-relator took
+(731,584 hashes, 146 MB).  After the build, rejecting a non-relator took
 0.01-0.08 ms at each of these.
 """
 
@@ -53,6 +53,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from heapq import merge
 
 from .lpres import _permute, orbit_plan, phi_apply, phi_word, rk0_instances
 from .symwords import (
@@ -175,6 +176,9 @@ _PLANS: dict = {}
 # of a level - 1 relator under a representative letter, in scan order, and
 # the same hashes sorted
 _INDEX: dict = {}
+# the sorted copy is merged from sorted runs of this many hashes, so no
+# list of every hash as a Python int is held
+_RUN = 1 << 16
 
 
 def _rank(n: int) -> tuple:
@@ -233,7 +237,9 @@ def _level(n: int, level: int):
             hashes = array("q", (hash(phi_apply(s, tokens, n))
                                  for tokens in _relators(n, level - 1)
                                  for s in reps))
-            index = (hashes, array("q", sorted(hashes)))
+            runs = [array("q", sorted(hashes[i:i + _RUN]))
+                    for i in range(0, len(hashes), _RUN)]
+            index = (hashes, array("q", merge(*runs)))
         _INDEX[(n, level)] = index
     return index
 

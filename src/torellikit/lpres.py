@@ -8,9 +8,10 @@ interpretation turns it into conjugation:
 
     interpret(phi_gen(s, t)) == s_endo * interpret(t) * s_endo^-1
 
-Rule resolution order: swap/inversion relabeling, then the fixed cases,
-then the explicit rewrite rows.  The ``phi-conj`` suite resolves every
-signed (s, t) pair and checks the identity above on each.
+Rule resolution order: a swap or inversion relabels the generator
+(``_permute`` by the relabelling that ``_move`` reads off the letter), then
+the fixed cases, then the explicit rewrite rows.  The ``phi-conj`` suite
+resolves every signed (s, t) pair and checks the identity above on each.
 
 ``phi_apply(s, w, n)`` extends the rule of one letter over a token word
 and returns the image freely reduced: each token's image is entered
@@ -56,57 +57,30 @@ from .words import Basis
 # the substitution rules
 
 
-def _relabel(tok, perm_sign):
-    """Apply a signed x-permutation (code -> (code, sign)) to a token."""
-
-    def letter(pair):
-        code, sign = pair
-        new, flip = perm_sign(code)
-        return (new, sign * flip)
-
-    tag = tok[0]
-    if tag == "M":
-        return M(*letter(tok[1]), *letter(tok[2]))
-    if tag == "C":
-        (u, _), w = tok[1], tok[2]
-        nu, _ = perm_sign(u)
-        return C(nu, *letter(w))
-    if tag == "Mc":
-        a, p, q = (letter(x) for x in tok[1:])
-        return Mc(*a, *p, *q)
-    raise ValueError(f"cannot relabel {tok!r}")
-
-
-def _perm_of(s):
-    """The signed permutation of generator codes given by a swap/inversion."""
-    if s[0] == "P":
-        a, b = s[1], s[2]
-
-        def perm(code):
-            if code == a:
-                return b, 1
-            if code == b:
-                return a, 1
-            return code, 1
-
-    else:
-        a = s[1]
-
-        def perm(code):
-            return code, -1 if code == a else 1
-
-    return perm
-
-
-def _permute(tok, perm):
+def _permute(tok, perm, flip=None):
     """Relabel a token by a permutation of x1..xn, given as a tuple
-    ``perm[code] -> code`` that fixes y; swaps and inversions stay swaps
-    and inversions."""
-    if tok[0] == "P":
+    ``perm[code] -> code`` that fixes y, and invert each letter of code
+    ``flip``; swaps and inversions stay swaps and inversions, and a C
+    token's conjugated letter keeps no sign."""
+    tag = tok[0]
+    if tag == "P":
         return P(perm[tok[1]], perm[tok[2]])
-    if tok[0] == "I":
+    if tag == "I":
         return I(perm[tok[1]])
-    return _relabel(tok, lambda code: (perm[code], 1))
+    parts = [(perm[c], -e if c == flip else e) for c, e in tok[1:]]
+    if tag == "C":
+        parts[0] = (parts[0][0], 1)
+    return (tag, *parts)
+
+
+def _move(s, n: int) -> tuple:
+    """The relabelling of x1..xn that the swap or inversion ``s`` makes at
+    rank n, as ``_permute`` takes it: ``(perm, flip)``."""
+    perm = list(range(n + 1))
+    if s[0] == "I":
+        return tuple(perm), s[1]
+    perm[s[1]], perm[s[2]] = s[2], s[1]
+    return tuple(perm), None
 
 
 def orbit_plan(n: int) -> tuple:
@@ -144,7 +118,7 @@ def phi_gen(s, t, n: int) -> tuple:
     if not in_alphabet(s, "S_Q", n):
         raise ValueError(f"not an S_Q token: {s!r}")
     if s[0] in ("P", "I"):
-        return (_relabel(t, _perm_of(s)),)
+        return (_permute(t, *_move(s, n)),)
     y = std_basis(n).y(1)
     (a, alpha), (v, vs) = s[1], s[2]
     if v == y:
@@ -458,13 +432,13 @@ def nielsen_relators(n: int) -> Iterator[RelationInstance]:
     moves = [(P(p, q), "N2.swap", (p, q)) for p, q in pairs() if p < q]
     moves += [(I(p), "N2.inv", (p,)) for p in xs]
     for sigma, family, head in moves:
-        perm = _perm_of(sigma)
+        move = _move(sigma, n)
         for cgen, dgen in pairs():
             for g in signs:
                 tv = M(cgen, g, dgen)
                 yield _inst(
                     family, head + (cgen, g, dgen), b,
-                    _eq((sigma, tv, sigma), (_relabel(tv, perm),)),
+                    _eq((sigma, tv, sigma), (_permute(tv, *move),)),
                 )
     # N3.  The signed-permutation side depends on the relative sign: the
     # composite equals I_b * P when alpha == beta and P * I_b otherwise
@@ -588,18 +562,18 @@ def jensen_wahl_relators(n: int) -> Iterator[RelationInstance]:
     perms = [(P(p, q), f"P[{p+1},{q+1}]") for p in xs for q in xs if p < q]
     perms += [(I(p), f"I[{p+1}]") for p in xs]
     for sigma, name in perms:
-        perm = _perm_of(sigma)
+        move = _move(sigma, n)
         for c in xs:
             t = C(y, c)
             yield _inst(
                 "Q3.con", (name, c), b,
-                _eq((sigma, t, sigma), (_relabel(t, perm),)),
+                _eq((sigma, t, sigma), (_permute(t, *move),)),
             )
             for g in signs:
                 t = M(c, g, y)
                 yield _inst(
                     "Q3.mul", (name, c, g), b,
-                    _eq((sigma, t, sigma), (_relabel(t, perm),)),
+                    _eq((sigma, t, sigma), (_permute(t, *move),)),
                 )
     # Q4
     for a in xs:

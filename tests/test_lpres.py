@@ -1,9 +1,10 @@
+import hashlib
 import random
 from itertools import combinations
 
 import pytest
 
-from torellikit import autos, lpres
+from torellikit import autos, lpres, symwords
 from torellikit.certificates import MAX_RANK
 from torellikit.lpres import (
     krel,
@@ -24,6 +25,7 @@ from torellikit.symwords import (
     P,
     SymWord,
     alphabet,
+    format_word,
     interpret,
     is_generator,
     signed_alphabet,
@@ -52,6 +54,21 @@ def test_phi_gen_examples():
         phi_gen(M(0, 1, Y), token_inv(C(Y, 1)), N)  # inverses are not generators
     with pytest.raises(ValueError):
         phi_gen(M(0, -1, Y), C(1, Y), N)  # M[x1^-1, y] is not in S_Q^+-1
+
+
+def test_phi_gen_images_are_pinned_token_for_token():
+    """Certificates locate relators by these exact tokens, so every image
+    of an S_K generator under a signed S_Q letter is pinned, not only its
+    automorphism."""
+    digest = hashlib.sha256()
+    for n in range(2, 6):
+        basis = std_basis(n)
+        for s in signed_alphabet("S_Q", n):
+            for t in alphabet("S_K", n):
+                digest.update(format_word(phi_gen(s, t, n), basis).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "9956c5e692e4b9189d33ac9c6a78aa42043715f4830d1c684c86da7275a61ec2"
+    )
 
 
 def test_phi_is_semantic_conjugation():
@@ -342,3 +359,41 @@ def test_a_rule_that_reads_n_breaks_rank_stability(monkeypatch):
     monkeypatch.setattr(lpres, "phi_gen", reads_n)
     y = std_basis(2).y(1)
     assert _equivariance_failures(2, _inclusion(2), 3) == [(M(0, 1, y), C(1, y))]
+
+
+def _interpret_inclusion_failures(m):
+    """The signed S_K, S_Q and S_C tokens t of rank m whose automorphism,
+    carried into rank m + 1 by the inclusion (x_(m+1) fixed), differs from
+    the automorphism of the included token."""
+    inc = _inclusion(m)
+    small, big = std_basis(m), std_basis(m + 1)
+    fixed = Word(big, ((m, 1),))
+    tokens = {t for kind in ("S_K", "S_Q", "S_C")
+              for t in signed_alphabet(kind, m)}
+    differ = []
+    for t in sorted(tokens):
+        images = [fixed] * big.size
+        for c, w in enumerate(interpret((t,), small).images):
+            images[inc[c]] = Word(big, tuple((inc[d], e) for d, e in w.letters))
+        if interpret((lpres._permute(t, inc),), big) != autos.Endo(big, images):
+            differ.append(t)
+    return differ
+
+
+def test_interpret_commutes_with_the_inclusion_of_each_rank():
+    for m in range(2, MAX_RANK):
+        assert _interpret_inclusion_failures(m) == [], m
+
+
+def test_an_automorphism_that_reads_n_breaks_rank_stability(monkeypatch):
+    original = symwords.token_endo
+
+    def reads_n(tok, basis):
+        f = original(tok, basis)
+        y = basis.y(1)
+        if tok == C(1, y):
+            return f * original(C(basis.n - 1, y), basis)  # names the rank
+        return f
+
+    monkeypatch.setattr(symwords, "token_endo", reads_n)
+    assert _interpret_inclusion_failures(2) == [C(1, std_basis(2).y(1))]

@@ -11,10 +11,11 @@ st = hypothesis.strategies
 
 from torellikit.certificates import CertificateError, parse_certificate  # noqa: E402
 from torellikit.cli import main  # noqa: E402
-from torellikit.lpres import _CATALOGS, krel  # noqa: E402
+from torellikit.lpres import _CATALOGS, _move, _permute, krel  # noqa: E402
 from torellikit.symwords import (  # noqa: E402
     ALPHABETS,
     format_token,
+    in_alphabet,
     parse_token,
     signed_alphabet,
     std_basis,
@@ -38,6 +39,42 @@ def test_every_signed_token_round_trips():
     for n, tok in TOKENS:
         basis = std_basis(n)
         assert parse_token(format_token(tok, basis), basis) == tok
+
+
+# every signed S_K, S_Q and S_C token of ranks 2..5, with its alphabet
+RELABELLED = {n: [(kind, tok) for kind in ("S_K", "S_Q", "S_C")
+                  for tok in signed_alphabet(kind, n)] for n in range(2, 6)}
+
+
+@st.composite
+def relabellings(draw):
+    """A rank and a permutation of x1..xn at it, as ``_permute`` takes it."""
+    n = draw(st.integers(2, 5))
+    return n, tuple(draw(st.permutations(range(n)))) + (n,)
+
+
+@hypothesis.settings(max_examples=100, deadline=1000)
+@hypothesis.given(relabellings())
+def test_relabelling_by_the_inverse_gives_each_token_back(drawn):
+    """The certificate index maps a hash hit back by the inverse."""
+    n, perm = drawn
+    inverse = tuple(map(perm.index, range(n + 1)))
+    for kind, tok in RELABELLED[n]:
+        moved = _permute(tok, perm)
+        assert in_alphabet(moved, kind, n) and _permute(moved, inverse) == tok
+
+
+def test_each_swap_and_inversion_relabels_back_in_two_steps():
+    for n, tokens in RELABELLED.items():
+        for s in signed_alphabet("S_Q", n):
+            if s[0] not in ("P", "I"):
+                continue
+            move = _move(s, n)
+            for kind, tok in tokens:
+                moved = _permute(tok, *move)
+                assert _permute(moved, *move) == tok, (s, tok)
+                # an inversion takes M[x, y] out of S_Q, never a token out of S_K
+                assert kind != "S_K" or in_alphabet(moved, kind, n), (s, tok)
 
 
 @hypothesis.settings(max_examples=200, deadline=1000)
