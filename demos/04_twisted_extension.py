@@ -18,7 +18,7 @@ from torellikit.extension import (
 from torellikit.lpres import jensen_wahl_relators
 from torellikit.extension import is_ext_identity, phi_inverse_word
 from torellikit.symwords import format_token, interpret, parse_token, std_basis
-from torellikit.twisted import birman_data, lambda_bar, tb_check, tlambda2
+from torellikit.twisted import lambda_bar, tb_check, tlambda2
 
 # --- the twisted commutator ------------------------------------------------
 n = 2
@@ -29,7 +29,7 @@ print("lambda(I[1], e1) =", lambda_bar(f, z, n))
 print("symbolic value   =", tlambda2(f, z, n))
 print()
 
-fails = tb_check(birman_data(n), samples=50)
+fails = tb_check(n, samples=50)
 print("twisted bilinearity axioms on 50 samples:", "ok" if not fails else fails)
 print()
 

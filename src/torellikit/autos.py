@@ -167,14 +167,6 @@ class Endo:
             self._inv = inv
         return inv
 
-    def __pow__(self, e: int) -> "Endo":
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = identity(self.basis)
-        for _ in range(e):
-            out = out * self
-        return out
-
     def abel_matrix(self) -> tuple:
         """Action on the abelianization; column j = abelianize(image of gen j)."""
         cols = [w.abelianize() for w in self.images]

@@ -734,13 +734,21 @@ _CATALOGS = {
 }
 
 
+# the highest n of every catalog, and the highest k of those that read k;
+# the largest catalog, rk0 at n = 8, has 91,448 instances (README)
+CATALOG_MAX = 8
+
+
 def relation_catalog(kind: str, n: int, k: int = 1) -> Iterator[RelationInstance]:
     """Exhaustively enumerate a relation family's instances.  A ``k`` the
-    catalog never reads, or one below its lowest, raises ``ValueError``."""
+    catalog never reads, or an n or k outside its bounds, raises
+    ``ValueError``."""
     if kind not in _CATALOGS:
         raise ValueError(f"unknown catalog {kind!r}; have {sorted(_CATALOGS)}")
     if n < 2:
         raise ValueError("catalogs need n >= 2")
+    if n > CATALOG_MAX:
+        raise ValueError(f"catalogs need n <= {CATALOG_MAX}")
     build, lowest_k = _CATALOGS[kind]
     if lowest_k is None:
         if k != 1:
@@ -748,6 +756,8 @@ def relation_catalog(kind: str, n: int, k: int = 1) -> Iterator[RelationInstance
         return iter(build(n))
     if k < lowest_k:
         raise ValueError(f"{kind} needs k >= {lowest_k}")
+    if k > CATALOG_MAX:
+        raise ValueError(f"{kind} needs k <= {CATALOG_MAX}")
     return iter(build(n, k))
 
 

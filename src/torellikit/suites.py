@@ -255,8 +255,7 @@ def _suite_lambda_zrel(n, k, samples, seed):
 
 def _suite_tb3(n, k, samples, seed):
     basis = std_basis(n)
-    data = twisted.birman_data(n)
-    failures = twisted.tb_check(data, samples=samples, seed=seed)
+    failures = twisted.tb_check(n, samples=samples, seed=seed)
     for axiom in ("TB1", "TB2", "TB3"):
         bad = [w for ax, w in failures if ax == axiom]
         yield _case(f"{axiom}.sampled", not bad, "; ".join(bad))
@@ -264,7 +263,7 @@ def _suite_tb3(n, k, samples, seed):
     for f in alphabet("S_A", n):
         for z in alphabet("S_Z", n):
             zvec = twisted.zn_vector(z, n)
-            idx = next(twisted.tb3_failures(data, (f,), zvec, kernel), None)
+            idx = next(twisted.tb3_failures((f,), zvec, kernel, n), None)
             yield _case(
                 f"TB3 {format_token(f, basis)}|{format_token(z, basis)}",
                 idx is None,
@@ -466,29 +465,36 @@ class _Suite(NamedTuple):
     cases: Callable  # (n, k, samples, seed) -> case dicts
     defaults: dict   # names a default k only if the suite reads k
     lowest: dict     # lower bounds on the parameters, checked before it starts
+    highest: dict    # upper bounds on n and the k it reads, checked likewise
 
 
 # Every suite has a lowest n: the alphabets, the seed relations and the
 # conjugation table start at n = 2, and the other suites would check F_{0,k}
 # vacuously.  A suite with no default k works over F_{n,1}.  Every suite
-# also needs samples >= 1 (checked in run_suite): a suite that draws samples
-# would pass vacuously, and the others would report a count they never read.
+# also needs 1 <= samples <= MAX_SAMPLES (checked in run_suite): a suite
+# that draws samples would pass vacuously, and the others would report a
+# count they never read.  The highest n and k bound the cost: each suite at
+# its highest n, k and samples together ran in under 9 s (README).
+MAX_SAMPLES = 1000
 _SUITES = {
-    "table1": _Suite(_holds("table1"), dict(n=3, k=3), dict(n=2, k=1)),
-    "phi-conj": _Suite(_suite_phi_conj, dict(n=4), dict(n=2)),
-    "phi-inverse-A": _Suite(_trivial("S_A"), dict(n=4), dict(n=2)),
-    "phi-nielsen": _Suite(_trivial("nielsen"), dict(n=4), dict(n=2)),
-    "phi-inverse-Z": _Suite(_trivial("S_Z"), dict(n=4), dict(n=2)),
-    "phi-zn": _Suite(_trivial("zn"), dict(n=4), dict(n=2)),
-    "lambda-zrel": _Suite(_suite_lambda_zrel, dict(n=3), dict(n=2)),
-    "tb3": _Suite(_suite_tb3, dict(n=3), dict(n=2)),
-    "lambda-arel": _Suite(_suite_lambda_arel, dict(n=3), dict(n=2)),
-    "gamma-rel": _Suite(_holds("rk0"), dict(n=4), dict(n=2)),
-    "extension": _Suite(_suite_extension, dict(n=2), dict(n=2)),
-    "jw-delta": _Suite(_suite_jw_delta, dict(n=3), dict(n=2)),
-    "johnson": _Suite(_suite_johnson, dict(n=3, k=2), dict(n=1, k=1)),
-    "stab-psi": _Suite(_suite_stab_psi, dict(n=3), dict(n=1)),
-    "magnus-oracle": _Suite(_suite_magnus_oracle, dict(n=3, k=2), dict(n=1)),
+    "table1": _Suite(_holds("table1"), dict(n=3, k=3), dict(n=2, k=1),
+                     dict(n=8, k=8)),
+    "phi-conj": _Suite(_suite_phi_conj, dict(n=4), dict(n=2), dict(n=8)),
+    "phi-inverse-A": _Suite(_trivial("S_A"), dict(n=4), dict(n=2), dict(n=8)),
+    "phi-nielsen": _Suite(_trivial("nielsen"), dict(n=4), dict(n=2), dict(n=8)),
+    "phi-inverse-Z": _Suite(_trivial("S_Z"), dict(n=4), dict(n=2), dict(n=8)),
+    "phi-zn": _Suite(_trivial("zn"), dict(n=4), dict(n=2), dict(n=8)),
+    "lambda-zrel": _Suite(_suite_lambda_zrel, dict(n=3), dict(n=2), dict(n=8)),
+    "tb3": _Suite(_suite_tb3, dict(n=3), dict(n=2), dict(n=5)),
+    "lambda-arel": _Suite(_suite_lambda_arel, dict(n=3), dict(n=2), dict(n=6)),
+    "gamma-rel": _Suite(_holds("rk0"), dict(n=4), dict(n=2), dict(n=8)),
+    "extension": _Suite(_suite_extension, dict(n=2), dict(n=2), dict(n=8)),
+    "jw-delta": _Suite(_suite_jw_delta, dict(n=3), dict(n=2), dict(n=8)),
+    "johnson": _Suite(_suite_johnson, dict(n=3, k=2), dict(n=1, k=1),
+                      dict(n=8, k=8)),
+    "stab-psi": _Suite(_suite_stab_psi, dict(n=3), dict(n=1), dict(n=8)),
+    "magnus-oracle": _Suite(_suite_magnus_oracle, dict(n=3, k=2), dict(n=1),
+                            dict(n=8, k=8)),
 }
 
 
@@ -510,11 +516,12 @@ def run_suite(name: str, n: int | None = None, k: int | None = None,
     samples = DEFAULT_SAMPLES if samples is None else samples
     seed = DEFAULT_SEED if seed is None else seed
     params = {"n": n, "k": k, "samples": samples, "seed": seed}
-    for key, low in suite.lowest.items():
+    for key, low in dict(suite.lowest, samples=1).items():
         if params[key] < low:
             raise ValueError(f"{name} needs {key} >= {low}")
-    if samples < 1:
-        raise ValueError(f"{name} needs samples >= 1")
+    for key, high in dict(suite.highest, samples=MAX_SAMPLES).items():
+        if params[key] > high:
+            raise ValueError(f"{name} needs {key} <= {high}")
     started = time.monotonic()
     report = SuiteReport(name, params, list(suite.cases(n, k, samples, seed)))
     report.elapsed_ms = (time.monotonic() - started) * 1000.0

@@ -9,17 +9,19 @@ commutator
     lambda_bar(f, z) = iota1(f) iota2(z) iota1(f)^-1 iota2(f . z)^-1,
 
 which lands in the Torelli Birman kernel and satisfies the three twisted
-bilinearity axioms TB1-TB3.  ``tlambda1``/``tlambda2`` rebuild the same map
-purely symbolically from its generator table, expanding words letter by
-letter without simplifying them first; the verification suites check that
-the expansion collapses on relators.
+bilinearity axioms TB1-TB3.  ``tb_check`` and ``tb3_failures`` state the
+axioms directly over ``lambda_bar``: words over S_A^{+-1} act on Z^n
+through their matrices and on the kernel by conjugation with ``iota1``,
+and Z^n acts on the kernel by conjugation with ``iota2``.
+``tlambda1``/``tlambda2`` rebuild the same map purely symbolically from its
+generator table, expanding words letter by letter without simplifying them
+first; the verification suites check that the expansion collapses on
+relators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from random import Random
-from typing import Callable
 
 from . import autos
 from .semidirect import aut_act_on_Zn
@@ -217,8 +219,7 @@ def tlambda1(f, w, n: int) -> SymWord:
     if len(w) == 1:
         return SymWord(big, lambda_gen(f, w[0], n))
     head = SymWord(big, lambda_gen(f, w[0], n))
-    f_aut = interpret_aut((f,), n)
-    moved = aut_act_on_Zn(f_aut, zn_vector(w[0], n))
+    moved = _act_on_Zn((f,), zn_vector(w[0], n), n)
     tail = tlambda1(f, w[1:], n)
     shifted = phi_word(canonical_zword(moved, n), tail, n)
     return head * shifted
@@ -243,110 +244,82 @@ def tlambda2(w, z, n: int) -> SymWord:
 
 
 # ---------------------------------------------------------------------------
-# axiom checking
+# axiom checking: lambda_bar on A = words over S_A^{+-1}, B = Z^n and
+# K = automorphisms of F_{n,1}; A acts on K through iota1, B through iota2
 
 
-@dataclass
-class TwistedBilinearData:
-    """A twisted bilinear map together with the three group actions it is
-    twisted by, plus samplers so the axioms can be spot-checked."""
-
-    lam: Callable
-    act_A_on_B: Callable
-    act_A_on_K: Callable
-    act_B_on_K: Callable
-    mul_A: Callable
-    mul_B: Callable
-    mul_K: Callable
-    inv_K: Callable
-    eq_K: Callable
-    sample_A: Callable
-    sample_B: Callable
-    sample_K: Callable
-    describe: Callable = field(default=lambda x: str(x))
+def _act_on_K(a, k: autos.Endo, n: int) -> autos.Endo:
+    """``a . k``, conjugation by ``iota1(a)``."""
+    lift = iota1(a, n)
+    return lift * k * lift.inverse()
 
 
-def tb3_failures(d: TwistedBilinearData, a, b, ks):
+def _shift_K(b, k: autos.Endo, n: int) -> autos.Endo:
+    """``b . k``, conjugation by ``iota2(b)``."""
+    return iota2(b, n) * k * iota2(_neg(b), n)
+
+
+def _describe(a) -> str:
+    return "*".join(str(t) for t in a) or "1"
+
+
+def tb3_failures(a, b, ks, n: int):
     """Yield the index of each k in ``ks`` at which TB3 fails for (a, b):
 
-        lam(a, b) ((a . b) . (a . k)) lam(a, b)^-1 = a . (b . k).
+        lam(a, b) ((a . b) . (a . k)) lam(a, b)^-1 = a . (b . k),
+
+    with ``lam = lambda_bar``.
     """
-    lam = d.lam(a, b)
-    lam_inv = d.inv_K(lam)
-    moved = d.act_A_on_B(a, b)
+    lam = lambda_bar(a, b, n)
+    lam_inv = lam.inverse()
+    moved = _act_on_Zn(a, b, n)
     for idx, k in enumerate(ks):
-        lhs = d.mul_K(d.mul_K(lam, d.act_B_on_K(moved, d.act_A_on_K(a, k))), lam_inv)
-        rhs = d.act_A_on_K(a, d.act_B_on_K(b, k))
-        if not d.eq_K(lhs, rhs):
+        lhs = lam * _shift_K(moved, _act_on_K(a, k, n), n) * lam_inv
+        if lhs != _act_on_K(a, _shift_K(b, k, n), n):
             yield idx
 
 
-def tb_check(data: TwistedBilinearData, samples: int = 100,
-             seed: int = DEFAULT_SEED) -> list:
-    """Evaluate TB1/TB2/TB3 on seeded samples; returns the failure list.
+def tb_check(n: int, samples: int = 100, seed: int = DEFAULT_SEED) -> list:
+    """Evaluate TB1/TB2/TB3 for ``lambda_bar`` at rank n on seeded samples;
+    returns the failure list.
 
     Each failure is a (axiom, witness-string) pair.  For TB3 over a whole
     generating set of K, run :func:`tb3_failures` directly.
     """
     rng = Random(seed)
-    failures = []
-    d = data
-    for case in range(samples):
-        a, b1, b2 = d.sample_A(rng), d.sample_B(rng), d.sample_B(rng)
-        lhs = d.lam(a, d.mul_B(b1, b2))
-        rhs = d.mul_K(d.lam(a, b1), d.act_B_on_K(d.act_A_on_B(a, b1), d.lam(a, b2)))
-        if not d.eq_K(lhs, rhs):
-            failures.append(("TB1", f"a={d.describe(a)} b1={b1} b2={b2}"))
-    for case in range(samples):
-        a1, a2, b = d.sample_A(rng), d.sample_A(rng), d.sample_B(rng)
-        lhs = d.lam(d.mul_A(a1, a2), b)
-        rhs = d.mul_K(d.act_A_on_K(a1, d.lam(a2, b)), d.lam(a1, d.act_A_on_B(a2, b)))
-        if not d.eq_K(lhs, rhs):
-            failures.append(("TB2", f"a1={d.describe(a1)} a2={d.describe(a2)} b={b}"))
-    for case in range(samples):
-        a, b, k = d.sample_A(rng), d.sample_B(rng), d.sample_K(rng)
-        for _ in tb3_failures(d, a, b, [k]):
-            failures.append(("TB3", f"a={d.describe(a)} b={b} (sampled k)"))
-    return failures
-
-
-def birman_data(n: int) -> TwistedBilinearData:
-    """The semantic instance of the axioms at rank n.
-
-    A = words over S_A^{+-1}, B = Z^n, K = automorphisms of F_{n,1}.
-    """
-    big = std_basis(n)
     sa = signed_alphabet("S_A", n)
     sk = alphabet("S_K", n)
 
-    def sample_A(rng):
+    def sample_A():
         return tuple(rng.choice(sa) for _ in range(rng.randint(0, 6)))
 
-    def sample_B(rng):
+    def sample_B():
         return tuple(rng.randint(-3, 3) for _ in range(n))
 
-    def sample_K(rng):
+    def sample_K():
         word = [rng.choice(sk) for _ in range(rng.randint(0, 4))]
         if rng.random() < 0.5 and word:
             word[0] = token_inv(word[0])
-        return interpret(tuple(word), big)
+        return interpret(tuple(word), std_basis(n))
 
-    def act_A_on_K(a, k):
-        A = iota1(a, n)
-        return A * k * A.inverse()
-
-    return TwistedBilinearData(
-        lam=lambda a, b: lambda_bar(a, b, n),
-        act_A_on_B=lambda a, b: _act_on_Zn(a, b, n),
-        act_A_on_K=act_A_on_K,
-        act_B_on_K=lambda b, k: iota2(b, n) * k * iota2(_neg(b), n),
-        mul_A=lambda a1, a2: tuple(a1) + tuple(a2),
-        mul_B=lambda b1, b2: tuple(x + y for x, y in zip(b1, b2)),
-        mul_K=lambda k1, k2: k1 * k2,
-        inv_K=lambda k: k.inverse(),
-        eq_K=lambda k1, k2: k1 == k2,
-        sample_A=sample_A,
-        sample_B=sample_B,
-        sample_K=sample_K,
-        describe=lambda a: "*".join(str(t) for t in a) or "1",
-    )
+    failures = []
+    for _ in range(samples):
+        a, b1, b2 = sample_A(), sample_B(), sample_B()
+        lhs = lambda_bar(a, tuple(x + y for x, y in zip(b1, b2)), n)
+        rhs = lambda_bar(a, b1, n) * _shift_K(
+            _act_on_Zn(a, b1, n), lambda_bar(a, b2, n), n)
+        if lhs != rhs:
+            failures.append(("TB1", f"a={_describe(a)} b1={b1} b2={b2}"))
+    for _ in range(samples):
+        a1, a2, b = sample_A(), sample_A(), sample_B()
+        lhs = lambda_bar(a1 + a2, b, n)
+        rhs = _act_on_K(a1, lambda_bar(a2, b, n), n) * lambda_bar(
+            a1, _act_on_Zn(a2, b, n), n)
+        if lhs != rhs:
+            failures.append(
+                ("TB2", f"a1={_describe(a1)} a2={_describe(a2)} b={b}"))
+    for _ in range(samples):
+        a, b, k = sample_A(), sample_B(), sample_K()
+        for _ in tb3_failures(a, b, [k], n):
+            failures.append(("TB3", f"a={_describe(a)} b={b} (sampled k)"))
+    return failures

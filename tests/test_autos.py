@@ -357,7 +357,6 @@ def test_apply_and_compose_equal_reduce_of_concatenation():
         if f.factors is not None:
             assert (f * f.inverse()).is_identity
             assert (f.inverse() * f).is_identity
-            assert f ** 2 == f * f and f ** -1 == f.inverse()
 
 
 def test_compose_reuses_unmoved_images():

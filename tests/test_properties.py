@@ -11,7 +11,7 @@ st = hypothesis.strategies
 
 from torellikit.certificates import CertificateError, parse_certificate  # noqa: E402
 from torellikit.cli import main  # noqa: E402
-from torellikit.lpres import _CATALOGS, _move, _permute, krel  # noqa: E402
+from torellikit.lpres import CATALOG_MAX, _CATALOGS, _move, _permute, krel  # noqa: E402
 from torellikit.symwords import (  # noqa: E402
     ALPHABETS,
     format_token,
@@ -20,7 +20,7 @@ from torellikit.symwords import (  # noqa: E402
     signed_alphabet,
     std_basis,
 )
-from torellikit.suites import suite_names  # noqa: E402
+from torellikit.suites import MAX_SAMPLES, _SUITES, suite_names  # noqa: E402
 
 TOKENS = [(n, tok) for n in (2, 3, 4) for kind in ALPHABETS
           for tok in signed_alphabet(kind, n)]
@@ -150,9 +150,10 @@ def _not_an_int(text):
     return False
 
 
-# junk in place of a value: never an integer outside the small ones drawn
-# on purpose, so no run asks for a large rank or sample count
-JUNK = st.one_of(st.sampled_from(["", "x", "-1", "0", "3", "1.5"]),
+# junk in place of a value: an integer only if it is small, or 25 digits
+# long, which every rank, sample count and depth refuses before any work
+HUGE = "9" * 25
+JUNK = st.one_of(st.sampled_from(["", "x", "-1", "0", "3", "1.5", HUGE, "-" + HUGE]),
                  st.text(max_size=8).filter(_not_an_int))
 RELATOR = str(krel(1, 2, a=1, b=2))
 WORDS = st.one_of(
@@ -200,14 +201,19 @@ def _corrupt(draw, argv):
 @st.composite
 def cli_argvs(draw):
     """A ``verify`` or ``catalog`` argv at rank 1 or 2 and at most two
-    samples, so each run takes milliseconds."""
+    samples, so each run takes milliseconds; or with one of ``--n``, ``--k``
+    and ``--samples`` just above its highest value or 25 digits long, which
+    is refused before any work."""
     small = st.sampled_from(["1", "2"])
     if draw(st.booleans()):
         argv = ["catalog", "--dump", draw(st.sampled_from(sorted(_CATALOGS))),
                 "--n", draw(small)]
+        highest = dict(n=CATALOG_MAX, k=CATALOG_MAX)
     else:
-        argv = ["verify", "--suite", draw(st.sampled_from(suite_names())),
+        suite = draw(st.sampled_from(suite_names()))
+        argv = ["verify", "--suite", suite,
                 "--n", draw(small), "--samples", draw(small)]
+        highest = dict(_SUITES[suite].highest, samples=MAX_SAMPLES)
         if draw(st.booleans()):
             argv += ["--seed", draw(st.one_of(st.integers().map(str),
                                               st.integers().map(hex)))]
@@ -215,6 +221,12 @@ def cli_argvs(draw):
             argv += ["--format", draw(st.sampled_from(["json", "text"]))]
     if draw(st.booleans()):
         argv += ["--k", draw(small)]
+    if draw(st.booleans()):
+        at = argv.index(draw(st.sampled_from(
+            [flag for flag in ("--n", "--k", "--samples") if flag in argv]))) + 1
+        # a k the suite never reads is refused above 1
+        high = highest.get(argv[at - 1][2:], 1)
+        argv[at] = draw(st.sampled_from([str(high + 1), HUGE, "-" + HUGE]))
     return _corrupt(draw, argv)
 
 

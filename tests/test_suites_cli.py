@@ -7,7 +7,7 @@ import pytest
 
 from torellikit.certificates import MAX_DEPTH, MAX_RANK
 from torellikit.cli import main
-from torellikit.lpres import krel
+from torellikit.lpres import _CATALOGS, krel
 from torellikit.suites import _SUITES, _acts_trivially, run_suite, suite_names
 from torellikit.symwords import parse_token, std_basis
 
@@ -282,6 +282,13 @@ def test_cli_usage_errors(tmp_path, capsys):
          "table1 needs samples >= 1"),
         (["verify", "--suite", "gamma-rel", "--n", "2", "--samples", "-5"],
          "gamma-rel needs samples >= 1"),
+        (["verify", "--suite", "tb3", "--n", "6"], "tb3 needs n <= 5"),
+        (["verify", "--suite", "table1", "--k", "9"], "table1 needs k <= 8"),
+        (["verify", "--suite", "stab-psi", "--samples", "1001"],
+         "stab-psi needs samples <= 1000"),
+        (["catalog", "--dump", "rk0", "--n", "9"], "catalogs need n <= 8"),
+        (["catalog", "--dump", "table1", "--n", "3", "--k", "9"],
+         "table1 needs k <= 8"),
     ):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -295,6 +302,21 @@ def test_cli_usage_errors(tmp_path, capsys):
         assert main(["verify", "--suite", suite, "--n", str(low - 1)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {suite} needs n >= {low}\n", err
+    # every suite has a highest rank and sample count, and the suites that
+    # read k a highest k; a 25-digit value is refused before any work
+    highest_n = {"tb3": 5, "lambda-arel": 6}
+    huge = "9" * 25
+    for suite in suite_names():
+        flags = [("n", highest_n.get(suite, 8)), ("samples", 1000)]
+        if "k" in _SUITES[suite].defaults:
+            flags.append(("k", 8))
+        for key, high in flags:
+            assert main(["verify", "--suite", suite, f"--{key}", huge]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {suite} needs {key} <= {high}\n", err
+    for kind in sorted(_CATALOGS):
+        assert main(["catalog", "--dump", kind, "--n", huge]) == 2
+        assert capsys.readouterr().err == "error: catalogs need n <= 8\n"
     # a suite with no default k works over k = 1; any other k would be
     # reported without being used
     for suite, row in _SUITES.items():

@@ -1,8 +1,8 @@
-import dataclasses
 import random
 
 import pytest
 
+from torellikit import twisted
 from torellikit.autos import classify, identity, transvection
 from torellikit.lpres import nielsen_relators, zn_relators
 from torellikit.symwords import (
@@ -17,10 +17,8 @@ from torellikit.symwords import (
     token_inv,
 )
 from torellikit.twisted import (
-    TwistedBilinearData,
     _act_on_Zn,
     aut_basis,
-    birman_data,
     canonical_zword,
     interpret_aut,
     iota1,
@@ -80,7 +78,11 @@ def _iota2_by_fold(z, n):
     big = std_basis(n)
     out = identity(big)
     for i, zi in enumerate(z):
-        out = out * (transvection(big, big.x(i + 1), 1, big.gen("y1")) ** zi)
+        step = transvection(big, big.x(i + 1), 1, big.gen("y1"))
+        if zi < 0:
+            step = step.inverse()
+        for _ in range(abs(zi)):
+            out = out * step
     return out
 
 
@@ -246,45 +248,30 @@ def test_canonical_zword():
     assert toks == (M(0, 1, Y), M(0, 1, Y), ("M", (2, 1), (Y, -1)))
 
 
-def trivial_data(rank: int = 2, modulus: int = 12) -> TwistedBilinearData:
-    """Degenerate instance: trivial actions, abelian groups, an ordinary
-    bilinear map; the axioms reduce to plain bilinearity."""
+def _post_compose_on_inversions(monkeypatch, n, hit):
+    """Replace ``twisted.lambda_bar`` by itself followed by C[x1,y] on
+    every ``a`` that ``hit`` selects."""
+    basis = std_basis(n)
+    shift = interpret((C(basis.x(1), basis.y(1)),), basis)
 
-    def lam(a, b):
-        return tuple(
-            sum(a[i] * b[j] for i in range(rank) for j in range(rank)) % modulus
-            for _ in range(1)
-        )
+    def lam(a, b, rank):
+        value = lambda_bar(a, b, rank)
+        return value * shift if hit(a) else value
 
-    def add(u, v):
-        return tuple((x + y) % modulus for x, y in zip(u, v))
-
-    def sample(rng):
-        return tuple(rng.randrange(modulus) for _ in range(rank))
-
-    return TwistedBilinearData(
-        lam=lam,
-        act_A_on_B=lambda a, b: b,
-        act_A_on_K=lambda a, k: k,
-        act_B_on_K=lambda b, k: k,
-        mul_A=add,
-        mul_B=add,
-        mul_K=lambda k1, k2: tuple((x + y) % modulus for x, y in zip(k1, k2)),
-        inv_K=lambda k: tuple((-x) % modulus for x in k),
-        eq_K=lambda k1, k2: k1 == k2,
-        sample_A=sample,
-        sample_B=sample,
-        sample_K=lambda rng: (rng.randrange(modulus),),
-    )
+    monkeypatch.setattr(twisted, "lambda_bar", lam)
 
 
-def test_tb_axioms_semantic_and_trivial():
+def test_tb_axioms_hold_and_can_fail(monkeypatch):
     for nn in (2, 3):
-        assert tb_check(birman_data(nn), samples=40) == []
-    assert tb_check(trivial_data(), samples=60) == []
+        assert tb_check(nn, samples=40) == []
+    # corrupting the map wherever a holds an inversion breaks each axiom
+    _post_compose_on_inversions(
+        monkeypatch, 2, lambda a: any(t[0] == "I" for t in a))
+    failures = tb_check(2, samples=40)
+    assert {axiom for axiom, _ in failures} == {"TB1", "TB2", "TB3"}
 
 
-def test_tb3_exhaustive_and_mutation():
+def test_tb3_exhaustive_and_mutation(monkeypatch):
     # TB3 on the S_A x S_Z grid with k over all of S_K; corrupting the map
     # on the inversions must break it there and only there
     n = 2
@@ -292,16 +279,10 @@ def test_tb3_exhaustive_and_mutation():
     ks = [interpret((t,), basis) for t in alphabet("S_K", n)]
     grid = [((f,), zn_vector(z, n)) for f in alphabet("S_A", n) for z in alphabet("S_Z", n)]
 
-    def failing(data):
-        return [(a, b) for a, b in grid if next(tb3_failures(data, a, b, ks), None) is not None]
+    def failing():
+        return [(a, b) for a, b in grid if next(tb3_failures(a, b, ks, n), None) is not None]
 
-    data = birman_data(n)
-    assert failing(data) == []
-    shift = interpret((C(basis.x(1), basis.y(1)),), basis)
-
-    def lam(a, b):
-        value = data.lam(a, b)
-        return value * shift if len(a) == 1 and a[0][0] == "I" else value
-
-    corrupted = dataclasses.replace(data, lam=lam)
-    assert failing(corrupted) == [(a, b) for a, b in grid if a[0][0] == "I"]
+    assert failing() == []
+    _post_compose_on_inversions(
+        monkeypatch, n, lambda a: len(a) == 1 and a[0][0] == "I")
+    assert failing() == [(a, b) for a, b in grid if a[0][0] == "I"]
