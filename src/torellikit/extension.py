@@ -27,6 +27,11 @@ skip what the algebra makes the identity: ``gamma(q1, q2)`` is the kernel
 identity when ``z2`` is zero (it is then ``L 1 L^-1 1``), and
 ``phi(q)`` sends the kernel identity to itself.  Every product is the one
 the left-to-right composition builds, image for image.
+
+``phi_inverse_word`` keeps the image of each signed S_C token per group,
+as a group keeps its lifts: the 351 Jensen-Wahl relators at n=3 have
+1,476 letters but only 48 distinct signed tokens, and each of those
+images, an inverse's included, is then built once.
 """
 
 from __future__ import annotations
@@ -46,11 +51,12 @@ from .twisted import (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class ExtGroup:
     """Hooks defining the extension: the kernel automorphism ``phi`` per
     quotient element, its inverse, and the kernel-valued 2-cochain
-    ``gamma``."""
+    ``gamma``.  Groups compare by identity, so each keys its own
+    generator images in ``phi_inverse_word``."""
 
     n: int
     phi: Callable  # (q, k) -> k
@@ -217,16 +223,35 @@ def phi_inverse_gen(tok, group: ExtGroup) -> ExtElement:
     return ext_mul(group, con, ext_inv(group, y_part))
 
 
+# group -> {signed S_C token: its image}, for as long as the group is alive
+_GENERATOR_IMAGES = WeakKeyDictionary()
+
+
 def phi_inverse_word(tokens, group: ExtGroup) -> ExtElement:
     """Extend phi_inverse_gen multiplicatively over a word (inverse tokens
-    map to inverses)."""
-    n = group.n
+    map to inverses).
+
+    The image of each signed token is built once per group and kept: a
+    generator's by ``phi_inverse_gen``, an inverse's by ``ext_inv`` of its
+    generator's image.
+    """
+    images = _GENERATOR_IMAGES.get(group)
+    if images is None:
+        images = _GENERATOR_IMAGES[group] = {}
     out = group.identity()
     for tok in tokens:
-        if is_generator(tok, "S_C", n):
-            g = phi_inverse_gen(tok, group)
-        else:
-            g = ext_inv(group, phi_inverse_gen(token_inv(tok), group))
+        g = images.get(tok)
+        if g is None:
+            g = images[tok] = _signed_image(tok, images, group)
         out = ext_mul(group, out, g)
     return out
 
+
+def _signed_image(tok, images: dict, group: ExtGroup) -> ExtElement:
+    if is_generator(tok, "S_C", group.n):
+        return phi_inverse_gen(tok, group)
+    gen = token_inv(tok)
+    g = images.get(gen)
+    if g is None:
+        g = images[gen] = phi_inverse_gen(gen, group)
+    return ext_inv(group, g)

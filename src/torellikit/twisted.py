@@ -12,7 +12,10 @@ which lands in the Torelli Birman kernel and satisfies the three twisted
 bilinearity axioms TB1-TB3.  ``tb_check`` and ``tb3_failures`` state the
 axioms directly over ``lambda_bar``: words over S_A^{+-1} act on Z^n
 through their matrices and on the kernel by conjugation with ``iota1``,
-and Z^n acts on the kernel by conjugation with ``iota2``.
+and Z^n acts on the kernel by conjugation with ``iota2``.  Since both
+actions are conjugations, each side of TB3 is one conjugation by a
+product of the two lifts and ``lambda_bar``; ``tb3_failures`` builds the
+two conjugators once per pair and checks every kernel element against them.
 ``tlambda1``/``tlambda2`` rebuild the same map purely symbolically from its
 generator table, expanding words letter by letter without simplifying them
 first; the verification suites check that the expansion collapses on
@@ -268,14 +271,26 @@ def tb3_failures(a, b, ks, n: int):
 
         lam(a, b) ((a . b) . (a . k)) lam(a, b)^-1 = a . (b . k),
 
-    with ``lam = lambda_bar``.
+    with ``lam = lambda_bar``.  Both actions are conjugations, and
+    conjugations compose: the left side conjugates k by iota1(a), then by
+    iota2(a . b), then by lam(a, b), and the right side by iota2(b), then
+    by iota1(a).  So the two sides are ``Y k Y^-1`` and ``Z k Z^-1`` for
+    the automorphisms
+
+        Y = lam(a, b) iota2(a . b) iota1(a),    Z = iota1(a) iota2(b),
+
+    which do not depend on k.  They and their inverses are built once per
+    (a, b); composition is exact, so each k gets the verdict of the five
+    conjugations composed one after another.
     """
     lam = lambda_bar(a, b, n)
-    lam_inv = lam.inverse()
-    moved = _act_on_Zn(a, b, n)
+    lift = iota1(a, n)
+    Y = lam * iota2(_act_on_Zn(a, b, n), n) * lift
+    Y_inv = Y.inverse()
+    Z = lift * iota2(b, n)
+    Z_inv = Z.inverse()
     for idx, k in enumerate(ks):
-        lhs = lam * _shift_K(moved, _act_on_K(a, k, n), n) * lam_inv
-        if lhs != _act_on_K(a, _shift_K(b, k, n), n):
+        if Y * k * Y_inv != Z * k * Z_inv:
             yield idx
 
 

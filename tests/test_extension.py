@@ -6,7 +6,9 @@ import pytest
 from torellikit import extension as ext
 from torellikit.lpres import jensen_wahl_relators
 from torellikit.semidirect import QElement, aut_act_on_Zn, semi_mul
-from torellikit.symwords import C, alphabet, interpret, parse_token, std_basis
+from torellikit.symwords import (
+    C, alphabet, interpret, is_generator, parse_token, std_basis, token_inv,
+)
 from torellikit.twisted import _twisted_commutator, iota1, iota2, lambda_bar
 
 N = 2
@@ -116,6 +118,42 @@ def test_jensen_wahl_relators_die():
     for inst in jensen_wahl_relators(n):
         g = ext.phi_inverse_word(inst.word.tokens, group)
         assert ext.is_ext_identity(group, g), inst.describe()
+
+
+def _uncached_word(tokens, group):
+    """phi_inverse_word's fold, each letter's image built afresh."""
+    out = group.identity()
+    for tok in tokens:
+        if is_generator(tok, "S_C", group.n):
+            g = ext.phi_inverse_gen(tok, group)
+        else:
+            g = ext.ext_inv(group, ext.phi_inverse_gen(token_inv(tok), group))
+        out = ext.ext_mul(group, out, g)
+    return out
+
+
+def test_phi_inverse_word_builds_each_generator_image_once(monkeypatch):
+    n = 2
+    words = [inst.word.tokens for inst in jensen_wahl_relators(n)]
+    reference = ext.birman_ext(n)
+    # every prefix, so that most values compared are not the identity
+    expected = [_uncached_word(w[:i], reference)
+                for w in words for i in range(len(w) + 1)]
+    calls = []
+    phi_inverse_gen = ext.phi_inverse_gen
+
+    def counted(tok, grp):
+        calls.append((tok, grp))
+        return phi_inverse_gen(tok, grp)
+
+    monkeypatch.setattr(ext, "phi_inverse_gen", counted)
+    for group in (ext.birman_ext(n), ext.birman_ext(n)):
+        calls.clear()
+        values = [ext.phi_inverse_word(w[:i], group)
+                  for w in words for i in range(len(w) + 1)]
+        assert all(ext.ext_eq(v, e) for v, e in zip(values, expected))
+        assert len(calls) == len(set(calls)) > 0
+        assert all(grp is group for _, grp in calls)
 
 
 @pytest.mark.parametrize("n", [2, 3])

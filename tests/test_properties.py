@@ -203,7 +203,8 @@ def cli_argvs(draw):
     """A ``verify`` or ``catalog`` argv at rank 1 or 2 and at most two
     samples, so each run takes milliseconds; or with one of ``--n``, ``--k``
     and ``--samples`` just above its highest value or 25 digits long, which
-    is refused before any work."""
+    is refused before any work.  Paired with whether the argv must be
+    refused that way: it is out of range and nothing else was changed."""
     small = st.sampled_from(["1", "2"])
     if draw(st.booleans()):
         argv = ["catalog", "--dump", draw(st.sampled_from(sorted(_CATALOGS))),
@@ -221,13 +222,35 @@ def cli_argvs(draw):
             argv += ["--format", draw(st.sampled_from(["json", "text"]))]
     if draw(st.booleans()):
         argv += ["--k", draw(small)]
-    if draw(st.booleans()):
+    refused = draw(st.booleans())
+    if refused:
         at = argv.index(draw(st.sampled_from(
             [flag for flag in ("--n", "--k", "--samples") if flag in argv]))) + 1
         # a k the suite never reads is refused above 1
         high = highest.get(argv[at - 1][2:], 1)
         argv[at] = draw(st.sampled_from([str(high + 1), HUGE, "-" + HUGE]))
-    return _corrupt(draw, argv)
+    drawn = list(argv)
+    return _corrupt(draw, argv), refused and argv == drawn
+
+
+# one above the highest n of every suite and catalog, sent on every run of
+# the command line test before any draw, so that each of those limits is
+# pinned whatever the seed
+ABOVE_HIGHEST_N = [
+    ["verify", "--suite", suite, "--n", str(_SUITES[suite].highest["n"] + 1),
+     "--samples", "1"] for suite in suite_names()
+] + [["catalog", "--dump", kind, "--n", str(CATALOG_MAX + 1)]
+     for kind in sorted(_CATALOGS)]
+
+
+def _sent_first(argvs):
+    """Send each argv, in order, as an explicit example that must be
+    refused."""
+    def decorate(test):
+        for argv in reversed(argvs):
+            test = hypothesis.example((argv, True))(test)
+        return test
+    return decorate
 
 
 def _run(argv):
@@ -250,8 +273,12 @@ def test_certify_ends_in_one_exit_code_and_one_line(tmp_path_factory, run, missi
 
 
 @hypothesis.settings(max_examples=150, deadline=2000)
+@_sent_first(ABOVE_HIGHEST_N)
 @hypothesis.given(cli_argvs())
-def test_verify_and_catalog_end_in_one_exit_code_and_one_line(argv):
+def test_verify_and_catalog_end_in_one_exit_code_and_one_line(drawn):
+    argv, refused = drawn
     code, err = _run(argv)
     assert code in (0, 1, 2), argv
     assert err.count("\n") <= 1, (argv, err)
+    if refused:
+        assert code == 2, (argv, err)

@@ -267,6 +267,8 @@ def test_cli_usage_errors(tmp_path, capsys):
         (["verify", "--suite", "johnson", "--n", "2", "--k", "0",
           "--samples", "2"], "johnson needs k >= 1"),
         (["verify", "--suite", "stab-psi", "--n", "0"], "stab-psi needs n >= 1"),
+        (["verify", "--suite", "magnus-oracle", "--n", "2", "--k", "-5",
+          "--samples", "1"], "magnus-oracle needs k >= 0"),
         (["verify", "--suite", "extension", "--k", "5"],
          "extension works over k = 1, got 5"),
         (["verify", "--suite", "stab-psi", "--report", str(tmp_path / "no" / "x.json")],

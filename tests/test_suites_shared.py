@@ -131,3 +131,20 @@ def test_phi_nielsen_checks_one_word_per_class(monkeypatch):
         checked.clear()
         assert len(suites.run_suite("phi-nielsen", n=n).cases) > 600
         assert len(checked) == len(set(checked)) == 42
+
+
+@pytest.mark.parametrize("name", ["phi-nielsen", "phi-inverse-A"])
+def test_the_guard_builds_each_phi_image_once(monkeypatch, name):
+    n = 3
+    letters = {s for _, word in _words(name, n) for s in word}
+    calls = []
+    phi_gen = lpres.phi_gen
+
+    def counted(s, t, rank):
+        calls.append((s, t, rank))
+        return phi_gen(s, t, rank)
+
+    monkeypatch.setattr(lpres, "phi_gen", counted)
+    assert suites._relabelling_commutes(n, letters)
+    assert sorted(calls) == sorted((s, t, n) for s in letters
+                                   for t in alphabet("S_K", n))

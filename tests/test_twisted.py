@@ -286,3 +286,38 @@ def test_tb3_exhaustive_and_mutation(monkeypatch):
     _post_compose_on_inversions(
         monkeypatch, n, lambda a: len(a) == 1 and a[0][0] == "I")
     assert failing() == [(a, b) for a, b in grid if a[0][0] == "I"]
+
+
+def _tb3_five_conjugations(a, b, ks, n):
+    """TB3 as its five conjugations, composed one after another:
+    lam (a.b).(a.k) lam^-1 against a.(b.k), ``a`` acting by conjugation
+    with iota1(a), a vector by conjugation with its iota2.  The reference
+    for the two fixed conjugators of ``tb3_failures``."""
+    lam = twisted.lambda_bar(a, b, n)
+    lift = iota1(a, n)
+    moved = _act_on_Zn(a, b, n)
+    up, down = iota2(moved, n), iota2(tuple(-c for c in moved), n)
+    for idx, k in enumerate(ks):
+        a_k = lift * k * lift.inverse()
+        lhs = lam * (up * a_k * down) * lam.inverse()
+        b_k = iota2(b, n) * k * iota2(tuple(-c for c in b), n)
+        if lhs != lift * b_k * lift.inverse():
+            yield idx
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tb3_failures_equal_the_five_conjugations(monkeypatch, n):
+    basis = std_basis(n)
+    ks = [interpret((t,), basis) for t in alphabet("S_K", n)]
+    grid = [((f,), zn_vector(z, n)) for f in alphabet("S_A", n)
+            for z in alphabet("S_Z", n)]
+
+    def failing(check):
+        return [list(check(a, b, ks, n)) for a, b in grid]
+
+    assert failing(tb3_failures) == failing(_tb3_five_conjugations)
+    _post_compose_on_inversions(
+        monkeypatch, n, lambda a: len(a) == 1 and a[0][0] == "I")
+    patched = failing(tb3_failures)
+    assert patched == failing(_tb3_five_conjugations)
+    assert [bool(idx) for idx in patched] == [a[0][0] == "I" for a, _ in grid]
