@@ -17,7 +17,7 @@ The package provides, from the bottom up:
   toolchain.
 """
 
-from .words import Basis, Word, commutator, conjugate, is_conjugate
+from .words import Basis, Word, commutator, is_conjugate
 from .autos import (
     Endo,
     classify,
@@ -41,7 +41,6 @@ __all__ = [
     "Endo",
     "classify",
     "commutator",
-    "conjugate",
     "conjugation",
     "expected_johnson_rank",
     "identity",

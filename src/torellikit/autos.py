@@ -67,16 +67,15 @@ from .words import (
 class Endo:
     """Endomorphism of F_{n,k} given by images of the basis generators.
 
-    Three slots are filled on first use and kept, since an Endo is
-    immutable: ``_hash``; ``_dual``, the matrix ``(eta^-1)^t`` of its action
-    on Z^{n+k} (see :func:`torellikit.semidirect.aut_act_on_Zn`); and
-    ``_inv``, the inverse :meth:`inverse` folds from the factorization.  The
-    inverse's own ``_inv`` points back, so ``f.inverse().inverse() is f``.
+    Two slots are filled on first use and kept, since an Endo is
+    immutable: ``_hash``, and ``_inv``, the inverse :meth:`inverse` folds
+    from the factorization.  The inverse's own ``_inv`` points back, so
+    ``f.inverse().inverse() is f``.
     The shared identity of each basis is the one Endo whose ``_inv`` is
     itself.
     """
 
-    __slots__ = ("basis", "images", "factors", "_hash", "_dual", "_inv")
+    __slots__ = ("basis", "images", "factors", "_hash", "_inv")
 
     def __init__(self, basis: Basis, images, factors=None):
         if len(images) != basis.size:
@@ -88,7 +87,6 @@ class Endo:
         self.images = tuple(images)
         self.factors = None if factors is None else tuple(factors)
         self._hash = None
-        self._dual = None
         self._inv = None
 
     def image(self, code: int) -> Word:
@@ -193,7 +191,6 @@ def _endo(basis: Basis, images: tuple, factors) -> Endo:
     f.images = images
     f.factors = factors
     f._hash = None
-    f._dual = None
     f._inv = None
     return f
 

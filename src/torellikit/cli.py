@@ -8,13 +8,20 @@ errors; a usage error is one line on stderr.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import certificates, lpres, suites
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error in one stderr line, without the usage block."""
+    """Reports a usage error in one stderr line, without the usage block.
+    A dash and a digit begin a value, so ``--seed -0x1`` is seed -1 (argparse
+    alone reads ``-0x1`` as an option)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")

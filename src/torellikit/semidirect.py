@@ -5,6 +5,11 @@ pairs (vector, n x n block); the action of Aut(F_n) on Z^n underlying the
 product is the natural right action of GL_n(Z) on row vectors converted to
 a left action, i.e. ``a . z = (eta(a)^-1)^t z`` where eta is the
 abelianization matrix.
+
+An automorphism ``g_1 ... g_m`` acts by ``dual(g_1) ... dual(g_m) z``, with
+``dual(g) = eta(g^-1)^t``: coordinate c of ``eta(h)^t z`` is ``z`` summed,
+with signs, over the letters of ``h(x_c)``, which ``autos._atom_moves``
+gives for an inverted atom.  So the factor atoms fold on z, with no matrix.
 """
 
 from __future__ import annotations
@@ -12,29 +17,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intmat
-from .autos import Endo
-
-
-def _dual(mat) -> tuple:
-    """``(mat^-1)^t`` of a GL_n(Z) matrix."""
-    return intmat.transpose(intmat.inverse_unimodular(mat))
+from .autos import Endo, _atom_inverse, _atom_moves
 
 
 def gl_act_on_Zn(mat, z) -> tuple:
     """Left action ``(mat^-1)^t z`` of a GL_n(Z) matrix on Z^n."""
-    return intmat.matvec(_dual(mat), tuple(z))
+    return intmat.matvec(intmat.transpose(intmat.inverse_unimodular(mat)), tuple(z))
+
+
+def atoms_act_on_Zn(atoms, z) -> tuple:
+    """``g_1 ... g_m . z`` for factor atoms, the rightmost acting first."""
+    z = list(z)
+    for atom in reversed(atoms):
+        moved = [(code, sum([z[c] * sign for c, sign in letters]))
+                 for code, letters in _atom_moves(_atom_inverse(atom))]
+        for code, value in moved:
+            z[code] = value
+    return tuple(z)
 
 
 def aut_act_on_Zn(a: Endo, z) -> tuple:
-    """Left action of an automorphism on an integer vector, through its
-    abelianization matrix eta(a).  The matrix ``(eta(a)^-1)^t`` is built
-    once per automorphism object and kept in its ``_dual`` slot."""
+    """Left action ``(eta(a)^-1)^t z`` of an automorphism on an integer
+    vector, folded over the factorization ``a`` must carry."""
     if len(z) != a.basis.size:
         raise ValueError("vector length does not match the basis rank")
-    dual = a._dual
-    if dual is None:
-        dual = a._dual = _dual(a.abel_matrix())
-    return intmat.matvec(dual, tuple(z))
+    if a.factors is None:
+        raise ValueError("cannot act on Z^n without a factorization")
+    return atoms_act_on_Zn(a.factors, z)
 
 
 def stab_decompose(mat) -> tuple:

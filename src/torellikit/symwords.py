@@ -194,10 +194,11 @@ _STD_BASES: dict = {}
 
 
 def std_basis(n: int) -> Basis:
-    """The basis x1..xn, y; one shared object per rank (Basis is frozen)."""
+    """The basis x1..xn, y; one shared object per rank (Basis is frozen),
+    the one :func:`~torellikit.autos.identity` holds for it."""
     basis = _STD_BASES.get(n)
     if basis is None:
-        basis = _STD_BASES.setdefault(n, Basis(n, 1))
+        basis = _STD_BASES.setdefault(n, autos.identity(Basis(n, 1)).basis)
     return basis
 
 

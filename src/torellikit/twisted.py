@@ -27,7 +27,7 @@ from __future__ import annotations
 from random import Random
 
 from . import autos
-from .semidirect import aut_act_on_Zn
+from .semidirect import atoms_act_on_Zn, aut_act_on_Zn
 from .symwords import (
     C, M, Mc, SymWord, alphabet, in_alphabet, interpret, signed_alphabet,
     std_basis, token_inv, tokens_inv,
@@ -46,11 +46,11 @@ _AUT_BASES: dict = {}
 
 
 def aut_basis(n: int) -> Basis:
-    """The basis x1..xn of F_n; one shared object per rank, as
-    :func:`~torellikit.symwords.std_basis` is."""
+    """The basis x1..xn of F_n; one shared object per rank, the one its
+    shared identity holds, as :func:`~torellikit.symwords.std_basis` is."""
     basis = _AUT_BASES.get(n)
     if basis is None:
-        basis = _AUT_BASES.setdefault(n, Basis(n, 0))
+        basis = _AUT_BASES.setdefault(n, autos.identity(Basis(n, 0)).basis)
     return basis
 
 
@@ -147,18 +147,11 @@ def canonical_zword(z, n: int) -> tuple:
 
 
 def _act_on_Zn(f, z, n: int) -> tuple:
-    """``f . z`` for an automorphism of F_n or an S_A token word.
-
-    A token word acts token by token, rightmost first, through each
-    token's cached automorphism, which keeps its matrix; so the word is
-    not interpreted and no matrix is inverted again.
-    """
+    """``f . z`` for an automorphism of F_n or an S_A token word: both fold
+    their atoms on z, so a token word is not interpreted."""
     if isinstance(f, autos.Endo):
-        return aut_act_on_Zn(f, tuple(z))
-    z = tuple(z)
-    for tok in reversed(f):
-        z = aut_act_on_Zn(interpret_aut((tok,), n), z)
-    return z
+        return aut_act_on_Zn(f, z)
+    return atoms_act_on_Zn([interpret_aut((tok,), n).factors[0] for tok in f], z)
 
 
 def _twisted_commutator(lift: autos.Endo, z, moved, n: int) -> autos.Endo:

@@ -104,10 +104,6 @@ class Basis:
         letters = [self.parse_letter(part) for part in text.split()]
         return Word(self, letters)
 
-    def gen(self, text: str) -> "Word":
-        code, sign = self.parse_letter(text)
-        return Word(self, ((code, sign),))
-
     def generators(self) -> list["Word"]:
         return [Word(self, ((code, 1),)) for code in range(self.size)]
 
@@ -240,11 +236,6 @@ class Word:
 def commutator(u: Word, v: Word) -> Word:
     """The commutator ``u v u^-1 v^-1``."""
     return u * v * u.inv() * v.inv()
-
-
-def conjugate(u: Word, by: Word) -> Word:
-    """``by * u * by^-1``."""
-    return by * u * by.inv()
 
 
 def is_conjugate(u: Word, v: Word) -> bool:

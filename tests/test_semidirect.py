@@ -3,7 +3,9 @@ import random
 import pytest
 
 from torellikit import intmat
-from torellikit.autos import classify, identity, inversion, swap, transvection
+from torellikit.autos import (
+    Endo, classify, conjugation, identity, inversion, swap, transvection,
+)
 from torellikit.semidirect import (
     QElement,
     aut_act_on_Zn,
@@ -14,9 +16,9 @@ from torellikit.semidirect import (
     stab_compose,
     stab_decompose,
 )
-from torellikit.symwords import alphabet
+from torellikit.symwords import alphabet, signed_alphabet
 from torellikit.twisted import interpret_aut, iota1, iota2
-from torellikit.words import Basis
+from torellikit.words import Basis, Word
 
 
 def semi_identity(n: int) -> QElement:
@@ -74,6 +76,52 @@ def test_aut_act_is_left_action():
         g = gens[rng.randrange(4)] * gens[rng.randrange(4)]
         z = tuple(rng.randint(-4, 4) for _ in range(3))
         assert aut_act_on_Zn(f * g, z) == aut_act_on_Zn(f, aut_act_on_Zn(g, z))
+
+
+def _act_by_matrix(a, z):
+    """The reference: ``(eta(a)^-1)^t z`` through the inverted matrix."""
+    dual = intmat.transpose(intmat.inverse_unimodular(a.abel_matrix()))
+    return intmat.matvec(dual, z)
+
+
+def test_aut_act_folds_each_atom_kind_as_the_matrix_does():
+    rng = random.Random(0xD0A1)
+    b = Basis(3, 1)
+    atoms = [
+        transvection(b, 0, alpha, Word(b, ((v, sign),)))
+        for alpha in (1, -1) for v in (1, 3) for sign in (1, -1)
+    ]
+    atoms += [
+        transvection(b, 1, alpha, b.word("x1 y1^-1 x3 x3"))
+        for alpha in (1, -1)
+    ]
+    atoms += [conjugation(b, 0, 3, gamma) for gamma in (1, -1)]
+    atoms += [conjugation(b, 3, 2), swap(b, 0, 2), inversion(b, 1)]
+    for f in atoms:
+        for _ in range(10):
+            z = tuple(rng.randint(-4, 4) for _ in range(b.size))
+            assert aut_act_on_Zn(f, z) == _act_by_matrix(f, z), (f, z)
+            assert aut_act_on_Zn(f.inverse(), z) == _act_by_matrix(f.inverse(), z)
+
+
+def test_aut_act_on_drawn_words_is_the_matrix_formula():
+    rng = random.Random(0xD0A2)
+    for n in (2, 3, 4):
+        sa = signed_alphabet("S_A", n)
+        for _ in range(60):
+            w = tuple(rng.choice(sa) for _ in range(rng.randint(0, 8)))
+            f = interpret_aut(w, n)
+            z = tuple(rng.randint(-5, 5) for _ in range(n))
+            assert aut_act_on_Zn(f, z) == _act_by_matrix(f, z), (w, z)
+
+
+def test_aut_act_needs_a_factorization():
+    b2 = Basis(2, 0)
+    f = Endo(b2, transvection(b2, 0, 1, b2.word("x2")).images)
+    with pytest.raises(ValueError, match="without a factorization"):
+        aut_act_on_Zn(f, (1, 0))
+    with pytest.raises(ValueError, match="does not match"):
+        aut_act_on_Zn(identity(b2), (1, 0, 0))
 
 
 def test_semi_mul_and_inverse():

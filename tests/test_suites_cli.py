@@ -102,6 +102,19 @@ def test_cli_verify_roundtrip(tmp_path, capsys):
     assert json.loads(printed)["suite"] == "magnus-oracle"
 
 
+def test_cli_seed_spellings(capsys):
+    # a dash and a digit begin a value, so a negative hex seed needs no "="
+    for spelling, seed in (
+        (["--seed", "0x5EED"], 0x5EED),
+        (["--seed", "-7"], -7),
+        (["--seed", "-0x1"], -1),
+        (["--seed=-0x1"], -1),
+    ):
+        argv = ["verify", "--suite", "stab-psi", "--n", "2", "--samples", "1"]
+        assert main(argv + spelling) == 0, spelling
+        assert json.loads(capsys.readouterr().out)["params"]["seed"] == seed
+
+
 def test_cli_verify_text_format(capsys):
     code = main([
         "verify", "--suite", "stab-psi", "--n", "2", "--samples", "5",

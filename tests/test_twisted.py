@@ -72,13 +72,26 @@ def test_aut_basis_is_shared_and_iota1_lifts_verbatim():
             assert lambda_bar(w, z, n) == lambda_bar(f, z, n)
 
 
+def test_shared_bases_hold_the_shared_identity(monkeypatch):
+    # an equal basis meets autos.identity before the shared bases are made
+    from torellikit import autos, symwords
+    from torellikit.words import Basis
+
+    monkeypatch.setattr(autos, "_IDENTITIES", {})
+    monkeypatch.setattr(twisted, "_AUT_BASES", {})
+    monkeypatch.setattr(symwords, "_STD_BASES", {})
+    small, big = identity(Basis(2, 0)), identity(Basis(2, 1))
+    assert interpret_aut((), 2) is small and small.basis is aut_basis(2)
+    assert identity(std_basis(2)) is big and big.basis is std_basis(2)
+
+
 def _iota2_by_fold(z, n):
     """The y-transvection product as a fold of powers, the reference for
     the closed form."""
     big = std_basis(n)
     out = identity(big)
     for i, zi in enumerate(z):
-        step = transvection(big, big.x(i + 1), 1, big.gen("y1"))
+        step = transvection(big, big.x(i + 1), 1, big.word("y1"))
         if zi < 0:
             step = step.inverse()
         for _ in range(abs(zi)):
