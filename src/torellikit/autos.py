@@ -335,9 +335,12 @@ def _check_codes(basis: Basis, *codes) -> None:
 
 def _elementary(basis: Basis, atom) -> Endo:
     """The automorphism of one factor atom, its images read from
-    ``_atom_moves``."""
+    ``_atom_moves``, over the basis object of the shared identity, not the
+    caller's: ``symwords.token_endo`` keeps it for every equal basis."""
     # identity first: it enters the generators' letters that the moves read
-    images = list(identity(basis).images)
+    one = identity(basis)
+    basis = one.basis
+    images = list(one.images)
     for code, letters in _atom_moves(atom):
         images[code] = _word(basis, letters)
     return _endo(basis, tuple(images), (atom,))

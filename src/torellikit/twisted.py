@@ -15,7 +15,9 @@ through their matrices and on the kernel by conjugation with ``iota1``,
 and Z^n acts on the kernel by conjugation with ``iota2``.  Since both
 actions are conjugations, each side of TB3 is one conjugation by a
 product of the two lifts and ``lambda_bar``; ``tb3_failures`` builds the
-two conjugators once per pair and checks every kernel element against them.
+two conjugators once per pair, passes every kernel element at once where
+they are equal, as they are for the ``lambda_bar`` defined here, and
+otherwise checks each kernel element against them.
 ``tlambda1``/``tlambda2`` rebuild the same map purely symbolically from its
 generator table, expanding words letter by letter without simplifying them
 first; the verification suites check that the expansion collapses on
@@ -272,15 +274,23 @@ def tb3_failures(a, b, ks, n: int):
 
         Y = lam(a, b) iota2(a . b) iota1(a),    Z = iota1(a) iota2(b),
 
-    which do not depend on k.  They and their inverses are built once per
-    (a, b); composition is exact, so each k gets the verdict of the five
-    conjugations composed one after another.
+    which do not depend on k.  Composition is exact, so each k gets the
+    verdict of the five conjugations composed one after another.
+
+    Where ``Y == Z`` every k passes, and nothing more is built: with
+    ``lam = iota1(a) iota2(b) iota1(a)^-1 iota2(a . b)^-1``, as
+    ``lambda_bar`` defines it, Y is Z, so a correct ``lambda_bar`` is
+    decided by that one comparison.  Otherwise Y, Z and their inverses are
+    built once per (a, b), and each k is checked against them, since a k
+    that commutes with ``Y^-1 Z`` still passes.
     """
     lam = lambda_bar(a, b, n)
     lift = iota1(a, n)
     Y = lam * iota2(_act_on_Zn(a, b, n), n) * lift
-    Y_inv = Y.inverse()
     Z = lift * iota2(b, n)
+    if Y == Z:
+        return
+    Y_inv = Y.inverse()
     Z_inv = Z.inverse()
     for idx, k in enumerate(ks):
         if Y * k * Y_inv != Z * k * Z_inv:

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from torellikit import autos
 from torellikit import extension as ext
 from torellikit.lpres import jensen_wahl_relators
-from torellikit.semidirect import QElement, aut_act_on_Zn, semi_mul
+from torellikit.semidirect import QElement, aut_act_on_Zn, semi_inv, semi_mul
 from torellikit.symwords import (
     C, alphabet, interpret, is_generator, parse_token, std_basis, token_inv,
 )
@@ -158,27 +159,34 @@ def test_phi_inverse_word_builds_each_generator_image_once(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_hooks_equal_the_formulas_from_iota1_iota2_and_lambda_bar(n):
-    # phi is conjugation by iota2(z) iota1(a), and gamma is
-    # iota2(z1) lambda_bar(a1, z2) iota2(-z1); each quotient element is
-    # met twice (and products of them too), so kept lifts are read again
+    # phi is conjugation by iota2(z) iota1(a), gamma is
+    # iota2(z1) lambda_bar(a1, z2) iota2(-z1), and inv is the definition
+    # phi(q)^-1(k^-1 gamma(q, q^-1)^-1); each quotient element is met
+    # twice (and products of them too), so kept lifts are read again
     group = ext.birman_ext(n)
     rng = random.Random(17 + n)
     qs = [ext.random_q(n, rng) for _ in range(8)]
     qs += [semi_mul(qs[i], qs[i + 1]) for i in range(0, 8, 2)]
+    qs += [QElement((0,) * n, q.a) for q in qs[:4]] + [group.identity().q]
     for _ in range(2):
         for q1, q2 in zip(qs, qs[1:] + qs[:1]):
             k = ext.random_kernel(n, rng)
             A = iota1(q1.a, n)
             up, down = iota2(q1.z, n), iota2(tuple(-c for c in q1.z), n)
             assert group.phi(q1, k) == up * A * k * A.inverse() * down
-            assert group.phi_inv(q1, k) == A.inverse() * down * k * up * A
             assert group.gamma(q1, q2) == up * lambda_bar(q1.a, q2.z, n) * down
+            q_inv = semi_inv(q1)
+            g = up * lambda_bar(q1.a, q_inv.z, n) * down
+            for kk in (k, group.kernel_identity):
+                expect = A.inverse() * down * kk.inverse() * g.inverse() * up * A
+                assert group.inv(kk, q1, q_inv) == expect
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_ext_mul_equals_the_left_associated_product(n):
-    # ext_mul composes phi * gamma before k1; the definition's
-    # left-to-right product builds the same images and factorization
+    # ext_mul's hook drops the L^-1 L that the definition's left-to-right
+    # product composes: the same images, from fewer factor atoms, which
+    # fold back to the product
     group = ext.birman_ext(n)
     rng = random.Random(29 + n)
     els = [ext.random_element(group, rng) for _ in range(10)]
@@ -187,7 +195,10 @@ def test_ext_mul_equals_the_left_associated_product(n):
         prod = ext.ext_mul(group, g1, g2)
         k = g1.k * group.phi(g1.q, g2.k) * group.gamma(g1.q, g2.q)
         q = semi_mul(g1.q, g2.q)
-        assert prod.k == k and prod.k.factors == k.factors
+        assert prod.k == k
+        assert autos._fold(prod.k.basis, map(autos._atom_moves, prod.k.factors),
+                           prod.k.factors) == prod.k
+        assert len(prod.k.factors) <= len(k.factors)
         assert prod.q.z == q.z and prod.q.a == q.a
 
 

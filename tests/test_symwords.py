@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from torellikit import symwords
 from torellikit.autos import Endo, classify
 from torellikit.symwords import (
     _ENDO_CACHE,
@@ -219,6 +220,19 @@ def test_token_endo_caches_the_images_it_moves():
                               if w.letters != ((code, 1),))
                 cached, cached_moved = _ENDO_CACHE[(b, tok)]
                 assert cached is f and cached_moved == moved, format_token(tok, b)
+
+
+def test_a_token_cached_from_an_equal_basis_is_over_the_shared_one(monkeypatch):
+    # the cache compares bases by equality, so the automorphism it keeps
+    # for the first basis it met is the one every equal basis is handed;
+    # an empty cache makes this process meet Basis(2, 1) first
+    monkeypatch.setattr(symwords, "_ENDO_CACHE", {})
+    sb = std_basis(2)
+    tok = M(0, 1, 1)
+    interpret((tok,), Basis(2, 1))
+    f = interpret((tok,), sb)
+    assert f.basis is sb
+    assert all(w.basis is sb for w in f.images)
 
 
 def test_interpret_carries_factorization():

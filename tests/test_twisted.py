@@ -3,7 +3,7 @@ import random
 import pytest
 
 from torellikit import twisted
-from torellikit.autos import classify, identity, transvection
+from torellikit.autos import Endo, classify, identity, transvection
 from torellikit.lpres import nielsen_relators, zn_relators
 from torellikit.symwords import (
     C,
@@ -334,3 +334,36 @@ def test_tb3_failures_equal_the_five_conjugations(monkeypatch, n):
     patched = failing(tb3_failures)
     assert patched == failing(_tb3_five_conjugations)
     assert [bool(idx) for idx in patched] == [a[0][0] == "I" for a, _ in grid]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tb3_failures_decides_a_correct_lambda_bar_without_inverting(monkeypatch, n):
+    # Y = lambda_bar(a, b) iota2(a.b) iota1(a) is Z = iota1(a) iota2(b)
+    # for the lambda_bar defined, so neither is inverted; a corrupted map
+    # makes them differ, and the per-k check inverts both
+    basis = std_basis(n)
+    ks = [interpret((t,), basis) for t in alphabet("S_K", n)]
+    grid = [((f,), zn_vector(z, n)) for f in alphabet("S_A", n)
+            for z in alphabet("S_Z", n)]
+    inverted = []
+    inverse = Endo.inverse
+
+    def counted(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Endo, "inverse", counted)
+
+    def inverts_Z():
+        out = []
+        for a, b in grid:
+            inverted.clear()
+            list(tb3_failures(a, b, ks, n))
+            Z = iota1(a, n) * iota2(b, n)
+            out.append(any(f == Z for f in inverted))
+        return out
+
+    assert inverts_Z() == [False] * len(grid)
+    _post_compose_on_inversions(
+        monkeypatch, n, lambda a: len(a) == 1 and a[0][0] == "I")
+    assert inverts_Z() == [a[0][0] == "I" for a, _ in grid]
