@@ -48,13 +48,13 @@ through it, and ``_fold`` reads it for each token in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, count
 from operator import is_not
 
 from . import intmat
 from .words import (
-    _INVERSE, _LETTERS, Basis, Word, _inverse_letters, _word, commutator, is_conjugate,
+    _INVERSE, _LETTERS, Basis, Frozen, Word, _inverse_letters, _set, _word, commutator,
+    is_conjugate,
 )
 
 # Factorization atoms.  Each is a tuple:
@@ -389,14 +389,16 @@ def inversion(basis: Basis, a: int) -> Endo:
     return _elementary(basis, ("I", a))
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(Frozen):
     """Membership flags for the subgroups hanging off the Birman sequence."""
 
-    in_A: bool
-    in_IA: bool
-    in_BKer: bool
-    in_KIA: bool
+    __slots__ = ("in_A", "in_IA", "in_BKer", "in_KIA")
+
+    def __init__(self, in_A: bool, in_IA: bool, in_BKer: bool, in_KIA: bool):
+        _set(self, "in_A", in_A)
+        _set(self, "in_IA", in_IA)
+        _set(self, "in_BKer", in_BKer)
+        _set(self, "in_KIA", in_KIA)
 
 
 def _delete_y(basis: Basis, w: Word) -> Word:

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from heapq import merge
 
 from .lpres import _permute, orbit_plan, phi_apply, phi_word, rk0_instances
@@ -64,24 +63,25 @@ from .symwords import (
     signed_alphabet,
     std_basis,
 )
-from .words import _index
+from .words import Fields, _index
 
 
-@dataclass
-class Certificate:
-    n: int
-    start: SymWord
-    steps: list  # (SymWord, position, line_no)
-    expect: SymWord
-    expect_line: int = 0
+class Certificate(Fields):
+    __slots__ = ("n", "start", "steps", "expect", "expect_line")
+
+    def __init__(self, n: int, start: SymWord, steps: list, expect: SymWord,
+                 expect_line: int = 0):
+        self.n, self.start, self.expect, self.expect_line = n, start, expect, expect_line
+        self.steps = steps  # (SymWord, position, line_no)
 
 
-@dataclass
-class CertReport:
-    path: str
-    ok: bool
-    errors: list = field(default_factory=list)
-    checked_steps: int = 0
+class CertReport(Fields):
+    __slots__ = ("path", "ok", "errors", "checked_steps")
+
+    def __init__(self, path: str, ok: bool, errors: list | None = None,
+                 checked_steps: int = 0):
+        self.path, self.ok, self.checked_steps = path, ok, checked_steps
+        self.errors = [] if errors is None else errors
 
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"

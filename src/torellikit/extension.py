@@ -49,7 +49,6 @@ images, an inverse's included, is then built once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 from typing import Callable
 from weakref import WeakKeyDictionary
@@ -62,10 +61,10 @@ from .symwords import (
 from .twisted import (
     DEFAULT_SEED, _neg, _twisted_commutator, aut_basis, interpret_aut, iota1, iota2,
 )
+from .words import Fields, Frozen, _set
 
 
-@dataclass(eq=False)
-class ExtGroup:
+class ExtGroup(Fields):
     """Hooks defining the extension: the kernel automorphism ``phi`` per
     quotient element and the kernel-valued 2-cochain ``gamma``, which
     ``cocycle_check`` checks, and the kernel parts of a product and of an
@@ -74,22 +73,28 @@ class ExtGroup:
     ``phi(q)^-1(k^-1 gamma(q, q_inv)^-1)``.  Groups compare by identity, so
     each keys its own generator images in ``phi_inverse_word``."""
 
-    n: int
-    phi: Callable  # (q, k) -> k
-    gamma: Callable  # (q1, q2) -> k
-    mul: Callable  # (k1, q1, k2, q2) -> k
-    inv: Callable  # (k, q, q_inv) -> k
-    kernel_identity: autos.Endo
+    __slots__ = ("n", "phi", "gamma", "mul", "inv", "kernel_identity", "__weakref__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, n: int, phi: Callable, gamma: Callable, mul: Callable,
+                 inv: Callable, kernel_identity: autos.Endo):
+        # phi (q, k) -> k, gamma (q1, q2) -> k, mul (k1, q1, k2, q2) -> k,
+        # inv (k, q, q_inv) -> k
+        self.n, self.phi, self.gamma = n, phi, gamma
+        self.mul, self.inv, self.kernel_identity = mul, inv, kernel_identity
 
     def identity(self) -> "ExtElement":
         qid = QElement((0,) * self.n, autos.identity(aut_basis(self.n)))
         return ExtElement(self.kernel_identity, qid)
 
 
-@dataclass(frozen=True)
-class ExtElement:
-    k: autos.Endo
-    q: QElement
+class ExtElement(Frozen):
+    __slots__ = ("k", "q")
+
+    def __init__(self, k: autos.Endo, q: QElement):
+        _set(self, "k", k)
+        _set(self, "q", q)
 
 
 def ext_mul(group: ExtGroup, g1: ExtElement, g2: ExtElement) -> ExtElement:

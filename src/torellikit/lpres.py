@@ -29,7 +29,6 @@ the certificate index looks relators up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterator
 
@@ -51,7 +50,7 @@ from .symwords import (
     token_inv,
     tokens_inv,
 )
-from .words import Basis
+from .words import Basis, Frozen, _set
 
 # ---------------------------------------------------------------------------
 # the substitution rules
@@ -372,14 +371,16 @@ def krel(index: int, n: int, *, a=None, b=None, c=None, d=None,
 # relation catalogs
 
 
-@dataclass(frozen=True)
-class RelationInstance:
+class RelationInstance(Frozen):
     """One instance of a relation family, in relator form: the word
     interprets to the identity automorphism."""
 
-    family: str
-    params: tuple
-    word: SymWord
+    __slots__ = ("family", "params", "word")
+
+    def __init__(self, family: str, params: tuple, word: SymWord):
+        _set(self, "family", family)
+        _set(self, "params", params)
+        _set(self, "word", word)
 
     def describe(self) -> str:
         par = ",".join(str(p) for p in self.params)

@@ -14,10 +14,9 @@ gives for an inverted atom.  So the factor atoms fold on z, with no matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import intmat
 from .autos import Endo, _atom_inverse, _atom_moves
+from .words import Frozen, _set
 
 
 def gl_act_on_Zn(mat, z) -> tuple:
@@ -72,20 +71,20 @@ def stab_compose(z, block) -> tuple:
     return tuple(tuple(r) for r in mat)
 
 
-@dataclass(frozen=True)
-class QElement:
+class QElement(Frozen):
     """An element (z, a) of Z^n x|_r Aut(F_n); ``a`` must be factored so it
     can be inverted."""
 
-    z: tuple
-    a: Endo
+    __slots__ = ("z", "a", "__weakref__")
 
-    def __post_init__(self):
-        object.__setattr__(self, "z", tuple(self.z))
-        if len(self.z) != self.a.basis.size:
+    def __init__(self, z: tuple, a: Endo):
+        z = tuple(z)
+        if len(z) != a.basis.size:
             raise ValueError("vector length does not match the automorphism rank")
-        if self.a.factors is None:
+        if a.factors is None:
             raise ValueError("the automorphism part must carry a factorization")
+        _set(self, "z", z)
+        _set(self, "a", a)
 
 
 def semi_mul(q1: QElement, q2: QElement) -> QElement:

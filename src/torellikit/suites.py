@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from itertools import permutations
 from random import Random
 from typing import Callable, NamedTuple
@@ -35,17 +34,18 @@ from .symwords import (
     token_inv,
 )
 from .twisted import DEFAULT_SEED
-from .words import Basis, Word, commutator
+from .words import Basis, Fields, Word, commutator
 
 DEFAULT_SAMPLES = 100
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    params: dict
-    cases: list = field(default_factory=list)
-    elapsed_ms: float = 0.0
+class SuiteReport(Fields):
+    __slots__ = ("suite", "params", "cases", "elapsed_ms")
+
+    def __init__(self, suite: str, params: dict, cases: list | None = None,
+                 elapsed_ms: float = 0.0):
+        self.suite, self.params, self.elapsed_ms = suite, params, elapsed_ms
+        self.cases = [] if cases is None else cases
 
     @property
     def failures(self) -> list:
@@ -511,7 +511,7 @@ _SUITES = {
     "phi-inverse-Z": _Suite(_trivial("S_Z"), dict(n=4), dict(n=2), dict(n=8)),
     "phi-zn": _Suite(_trivial("zn"), dict(n=4), dict(n=2), dict(n=8)),
     "lambda-zrel": _Suite(_suite_lambda_zrel, dict(n=3), dict(n=2), dict(n=8)),
-    "tb3": _Suite(_suite_tb3, dict(n=3), dict(n=2), dict(n=5)),
+    "tb3": _Suite(_suite_tb3, dict(n=3), dict(n=2), dict(n=8)),
     "lambda-arel": _Suite(_suite_lambda_arel, dict(n=3), dict(n=2), dict(n=6)),
     "gamma-rel": _Suite(_holds("rk0"), dict(n=4), dict(n=2), dict(n=8)),
     "extension": _Suite(_suite_extension, dict(n=2), dict(n=2), dict(n=8)),

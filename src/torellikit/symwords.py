@@ -35,10 +35,8 @@ first needs it and dropped when that image changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import autos
-from .words import Basis, Word, _echo, _index, commutator
+from .words import Basis, Frozen, Word, _echo, _index, _set, commutator
 
 ALPHABETS = ("S_A", "S_Z", "S_Q", "S_K", "S_C")
 
@@ -147,15 +145,14 @@ def _push(out: list, block) -> None:
 # symbolic words
 
 
-@dataclass(frozen=True)
-class SymWord:
+class SymWord(Frozen):
     """Freely reduced word of generator tokens over a fixed basis."""
 
-    basis: Basis
-    tokens: tuple
+    __slots__ = ("basis", "tokens")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", _reduce_tokens(self.tokens))
+    def __init__(self, basis: Basis, tokens: tuple):
+        _set(self, "basis", basis)
+        _set(self, "tokens", _reduce_tokens(tokens))
 
     def __len__(self):
         return len(self.tokens)
@@ -181,8 +178,8 @@ def _symword(basis: Basis, tokens: tuple) -> SymWord:
     """A word from tokens already freely reduced.  Internal paths build
     through this; ``SymWord(...)`` reduces."""
     w = object.__new__(SymWord)
-    object.__setattr__(w, "basis", basis)
-    object.__setattr__(w, "tokens", tokens)
+    _set(w, "basis", basis)
+    _set(w, "tokens", tokens)
     return w
 
 

@@ -80,8 +80,10 @@ def iota1(f, n: int) -> autos.Endo:
     return interpret(f, big)
 
 
-# (tuple(z), n) -> iota2(z, n)
+# (tuple(z), n) -> iota2(z, n), emptied when full: the suites at n = 2, 3
+# keep at most 614 vectors, the extension at n = 8 meets tens of thousands
 _IOTA2: dict = {}
+_IOTA2_CAP = 4096
 
 
 def iota2(z, n: int) -> autos.Endo:
@@ -94,14 +96,17 @@ def iota2(z, n: int) -> autos.Endo:
 
     Built once per vector and rank and kept, with the inverse once that is
     built (an Endo is immutable): the extension's products meet the same
-    few hundred vectors thousands of times.  The zero vector gives the
-    shared ``autos.identity(std_basis(n))``.
+    few hundred vectors thousands of times; the memo is emptied once it
+    holds ``_IOTA2_CAP`` vectors.  The zero vector gives the shared
+    ``autos.identity(std_basis(n))``.
     """
     if len(z) != n:
         raise ValueError("vector length does not match the rank")
     key = (tuple(z), n)
     out = _IOTA2.get(key)
     if out is None:
+        if len(_IOTA2) >= _IOTA2_CAP:
+            _IOTA2.clear()
         out = _IOTA2[key] = _iota2(key[0], n)
     return out
 

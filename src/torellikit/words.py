@@ -17,7 +17,59 @@ reduction pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
+
+
+class Fields:
+    """Base of the package's value classes, written out by hand: generating
+    their methods at import would load ``inspect``, ``ast`` and ``dis`` on
+    every start, a large share of the package's start-up.  A subclass
+    names its fields in ``__slots__`` (a slot whose name starts with an
+    underscore, such as ``__weakref__``, is not a field) and sets them in
+    ``__init__``.  Instances compare field by field with their own class
+    only, show as ``Name(field=value, ...)``, are unhashable, and pickle
+    and copy by calling the class with their fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = cls._fields = tuple(f for f in cls.__slots__ if f[0] != "_")
+        if fields:
+            cls._key = attrgetter(*fields)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, f) for f in self._fields])
+
+
+_set = object.__setattr__
+
+
+class Frozen(Fields):
+    """A :class:`Fields` class whose instances refuse assignment and hash
+    by their fields; ``__init__`` sets them through ``_set``."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 # an index of more digits names no generator of a basis this package can
@@ -40,16 +92,21 @@ def _index(text: str, what: str) -> int:
         raise ValueError(f"{what} {_echo(text)} is not an integer") from None
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(Frozen):
     """A free basis with ``n`` x-generators and ``k`` y-generators."""
 
-    n: int
-    k: int = 0
+    __slots__ = ("n", "k", "_hash")
 
-    def __post_init__(self):
-        if self.n < 0 or self.k < 0 or self.n + self.k < 1:
+    def __init__(self, n: int, k: int = 0):
+        if n < 0 or k < 0 or n + k < 1:
             raise ValueError("basis needs n, k >= 0 and n + k >= 1")
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "_hash", hash((n, k)))
+
+    def __hash__(self):
+        # kept: every token the automorphism cache looks up hashes its basis
+        return self._hash
 
     @property
     def size(self) -> int:
@@ -192,6 +249,10 @@ class Word:
         if self._hash is None:
             self._hash = hash((self.basis, self.letters))
         return self._hash
+
+    def __reduce__(self):
+        # rebuilt by Word(...), so its letters are the shared ones again
+        return Word, (self.basis, self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
         if self.basis is not other.basis and self.basis != other.basis:

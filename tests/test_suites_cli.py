@@ -297,7 +297,7 @@ def test_cli_usage_errors(tmp_path, capsys):
          "table1 needs samples >= 1"),
         (["verify", "--suite", "gamma-rel", "--n", "2", "--samples", "-5"],
          "gamma-rel needs samples >= 1"),
-        (["verify", "--suite", "tb3", "--n", "6"], "tb3 needs n <= 5"),
+        (["verify", "--suite", "tb3", "--n", "9"], "tb3 needs n <= 8"),
         (["verify", "--suite", "table1", "--k", "9"], "table1 needs k <= 8"),
         (["verify", "--suite", "stab-psi", "--samples", "1001"],
          "stab-psi needs samples <= 1000"),
@@ -319,7 +319,7 @@ def test_cli_usage_errors(tmp_path, capsys):
         assert err == f"error: {suite} needs n >= {low}\n", err
     # every suite has a highest rank and sample count, and the suites that
     # read k a highest k; a 25-digit value is refused before any work
-    highest_n = {"tb3": 5, "lambda-arel": 6}
+    highest_n = {"lambda-arel": 6}
     huge = "9" * 25
     for suite in suite_names():
         flags = [("n", highest_n.get(suite, 8)), ("samples", 1000)]

@@ -32,7 +32,7 @@ from torellikit.twisted import (
     zn_vector,
 )
 from torellikit.semidirect import aut_act_on_Zn
-from torellikit.words import _LETTERS
+from torellikit.words import _LETTERS, Word
 
 N = 3
 B = std_basis(N)
@@ -129,6 +129,21 @@ def test_iota2_is_built_once_per_vector_and_rank():
         for _ in range(20):
             z = [rng.randint(-3, 3) for _ in range(n)]
             assert iota2(z, n).inverse() == iota2([-c for c in z], n)
+
+
+def test_iota2_memo_stays_within_its_cap(monkeypatch):
+    monkeypatch.setattr(twisted, "_IOTA2", {})
+    big = std_basis(2)
+    y = big.y(1)
+    vectors = [(a, b) for a in range(-33, 33) for b in range(-33, 33)]
+    assert len(vectors) > twisted._IOTA2_CAP == 4096
+    for z in vectors:
+        f = iota2(z, 2)
+        assert len(twisted._IOTA2) <= twisted._IOTA2_CAP
+        for i, zi in enumerate(z):
+            y_pow = [(y, 1 if zi > 0 else -1)] * abs(zi)
+            assert f.images[i] == Word(big, y_pow + [(big.x(i + 1), 1)])
+        assert f.images[y] == Word(big, [(y, 1)])
 
 
 def test_lambda_gen_table_rows():
