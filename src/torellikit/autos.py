@@ -135,7 +135,7 @@ class Endo:
         """
         return (
             isinstance(other, Endo)
-            and self.basis == other.basis
+            and (self.basis is other.basis or self.basis == other.basis)
             and self.images == other.images
         )
 

@@ -38,14 +38,24 @@ looked up there.  A hash hit is regenerated from its position and compared
 token for token, and then the chain is checked: phi_s(v) must give the
 insertion, and v must be a relator one level down, so the symmetry only
 decides where to look.  A level is built once per process, on the first
-insertion that misses every level below it.  On a 2-core x86-64 machine
-with CPython 3.11, cold in a fresh interpreter, the build took 0.09-0.11 s
-at n = 3, depth 1 (7,344 hashes, 19 MB peak), 0.28-0.36 s at n = 4,
-depth 1 (25 MB), 3.1-4.1 s at n = 3, depth 2 (264,384 hashes, 28 MB),
-19-26 s at n = 4, depth 2 (2,033,856 hashes, 76 MB), 1.7-2.3 s at n = 8,
-depth 0 (the seed enumeration, 117 MB) and 5.0-6.7 s at n = 8, depth 1
-(731,584 hashes, 146 MB).  After the build, rejecting a non-relator took
-0.01-0.08 ms at each of these.
+insertion that misses every level below it.
+
+A level is built from the seeds, not from the relators one level down.
+For each quotient word u of length d - 1 and each representative r, a
+composed table gives every S_K token or inverse t the reduced
+phi_r(phi_u(t)); each seed is read through it, the images of its tokens
+joined with cancellation only where they meet (``symwords._join``), and
+the hash is stored at the scan position of phi_r after phi_u(seed).  At
+n = 2, level 2 reads the 98 seeds, 4.3 tokens long on average, through
+120 tables: 50,880 images, where reading the 1,470 level-1 relators of
+9.0 tokens under 8 representatives took 106,368.  On a 2-core x86-64
+machine with CPython 3.11, cold in a fresh interpreter, the build took
+0.07-0.08 s at n = 3, depth 1 (7,344 hashes, 18 MB peak), 0.19-0.28 s at
+n = 4, depth 1 (24 MB), 1.9-2.0 s at n = 3, depth 2 (264,384 hashes,
+26 MB), 12.7-12.8 s at n = 4, depth 2 (2,033,856 hashes, 74 MB),
+1.7-2.3 s at n = 8, depth 0 (the seed enumeration, 117 MB) and 5.0-5.7 s
+at n = 8, depth 1 (731,584 hashes, 153-154 MB).  After the build,
+rejecting a non-relator took 0.05-0.4 ms at each of these.
 """
 
 from __future__ import annotations
@@ -57,6 +67,7 @@ from heapq import merge
 from .lpres import _permute, orbit_plan, phi_apply, phi_word, rk0_instances
 from .symwords import (
     SymWord,
+    _join,
     applyrels,
     interpret,
     parse_word,
@@ -202,29 +213,50 @@ def _plan(n: int) -> tuple:
     return plan
 
 
-def _relators(n: int, level: int):
-    """The tokens of every relator at a level, in scan order: level 0 holds
-    the seeds, and level d the image of each level d - 1 relator under each
-    quotient letter in turn.  Streamed depth first; no level is held."""
-    seeds, letters = _rank(n)
-    if level == 0:
-        yield from seeds
-        return
-    for tokens in _relators(n, level - 1):
-        for s in letters:
-            yield phi_apply(s, tokens, n)
+def _quotient_word(letters: tuple, i: int, length: int) -> tuple:
+    """The quotient word of ``length`` letters spelled by the base-q
+    digits of ``i`` (q letters in the alphabet), lowest digit first, and
+    so outermost."""
+    u = []
+    for _ in range(length):
+        i, digit = divmod(i, len(letters))
+        u.append(letters[digit])
+    return tuple(u)
 
 
 def _relator_at(n: int, level: int, i: int) -> tuple:
     """The tokens of the relator at position ``i`` of a level: the seed at
-    ``i // q**level`` under the quotient word whose letters are the base-q
-    digits of ``i``, lowest digit outermost (q letters in the alphabet)."""
+    ``i // q**level`` under the quotient word of the remainder's digits."""
     seeds, letters = _rank(n)
-    u = []
-    for _ in range(level):
-        i, digit = divmod(i, len(letters))
-        u.append(letters[digit])
-    return phi_word(tuple(u), seeds[i], n).tokens
+    i, w = divmod(i, len(letters) ** level)
+    return phi_word(_quotient_word(letters, w, level), seeds[i], n).tokens
+
+
+def _hashes(n: int, level: int) -> array:
+    """The hash of phi_r(phi_u(R)) for each seed R, each quotient word u
+    of length level - 1 and each representative r, at the scan position
+    of r after the relator phi_u(R) of the level below.
+
+    For each u in turn, each r gets the composed table that gives every
+    S_K token or inverse t the reduced phi_r(phi_u(t)), as a list in the
+    order of the signed alphabet, and every seed is read through it by
+    the positions of its tokens; only one table is held at a time."""
+    seeds, letters = _rank(n)
+    reps = _plan(n)[0]
+    kernel = signed_alphabet("S_K", n)
+    position = {t: i for i, t in enumerate(kernel)}
+    seeds = [tuple(map(position.__getitem__, seed)) for seed in seeds]
+    words = len(letters) ** (level - 1)
+    step = words * len(reps)
+    hashes = array("q", bytes(8 * len(seeds) * step))
+    for w in range(words):
+        u = _quotient_word(letters, w, level - 1)
+        inner = [phi_word(u, (t,), n).tokens for t in kernel]
+        for j, r in enumerate(reps):
+            image = [phi_apply(r, v, n) for v in inner].__getitem__
+            hashes[w * len(reps) + j::step] = array(
+                "q", [hash(_join(map(image, seed))) for seed in seeds])
+    return hashes
 
 
 def _level(n: int, level: int):
@@ -233,10 +265,7 @@ def _level(n: int, level: int):
         if level == 0:
             index = frozenset(_rank(n)[0])
         else:
-            reps = _plan(n)[0]
-            hashes = array("q", (hash(phi_apply(s, tokens, n))
-                                 for tokens in _relators(n, level - 1)
-                                 for s in reps))
+            hashes = _hashes(n, level)
             runs = [array("q", sorted(hashes[i:i + _RUN]))
                     for i in range(0, len(hashes), _RUN)]
             index = (hashes, array("q", merge(*runs)))

@@ -15,7 +15,8 @@ resolves every signed (s, t) pair and checks the identity above on each.
 
 ``phi_apply(s, w, n)`` extends the rule of one letter over a token word
 and returns the image freely reduced: each token's image is entered
-reduced, and consecutive images cancel only where they meet.
+reduced in the letter's table, and one ``symwords._join`` of the images
+cancels them only where they meet.
 ``phi_word`` applies a whole quotient word that way, one letter at a time,
 so each letter reads the reduced image of the letters before it.
 
@@ -39,7 +40,7 @@ from .symwords import (
     Mc,
     P,
     SymWord,
-    _push,
+    _join,
     _reduce_tokens,
     _symword,
     in_alphabet,
@@ -233,7 +234,21 @@ def _phi_m_xx(a, alpha, b, beta, t, y):
     return (t,)  # Mc[x_c, y, x_b], Mc[x_c, y, x_d] are fixed
 
 
-# (n, s) -> {S_K token or inverse -> its freely reduced phi image}
+class _PhiTable(dict):
+    """S_K token or inverse -> its freely reduced image under the rule for
+    one quotient letter ``s`` at rank ``n``; a token not yet met is
+    entered on lookup, by ``_phi_signed``."""
+
+    __slots__ = ("s", "n")
+
+    def __init__(self, s, n: int):
+        self.s, self.n = s, n
+
+    def __missing__(self, tok):
+        return _phi_signed(self, self.s, tok, self.n)
+
+
+# (n, s) -> its _PhiTable
 _PHI_SIGNED: dict = {}
 
 
@@ -258,14 +273,8 @@ def phi_apply(s, word, n: int) -> tuple:
     is reduced, so images cancel only where they meet."""
     table = _PHI_SIGNED.get((n, s))
     if table is None:
-        table = _PHI_SIGNED.setdefault((n, s), {})
-    out = []
-    for tok in word:
-        image = table.get(tok)
-        if image is None:
-            image = _phi_signed(table, s, tok, n)
-        _push(out, image)
-    return tuple(out)
+        table = _PHI_SIGNED.setdefault((n, s), _PhiTable(s, n))
+    return _join(map(table.__getitem__, word))
 
 
 def phi_word(u, w, n: int) -> SymWord:

@@ -17,7 +17,8 @@ the same automorphism.
 
 A :class:`SymWord` is a freely reduced token sequence.  Products,
 inverses and relator insertions of reduced words cancel only where their
-pieces meet, so they are built without a second reduction pass.
+pieces meet, so they are built without a second reduction pass: one
+``_join`` of the pieces.
 
 The alphabets ``S_A``, ``S_Z``, ``S_Q``, ``S_K``, ``S_C`` (all over the
 basis ``x1..xn, y``) are each stated once, by the token loop of
@@ -122,23 +123,27 @@ def _reduce_tokens(tokens) -> tuple:
     return tuple(out)
 
 
-def _push(out: list, block) -> None:
-    """Extend the reduced token list ``out`` by the reduced token sequence
-    ``block``: the two cancel only where they meet, so pop while the
-    block's next token is the inverse of the top, then extend the rest.
+def _join(blocks) -> tuple:
+    """The reduced tokens of a concatenation of reduced token blocks.
 
+    Blocks cancel only where they meet: while a block's next token is the
+    inverse of the top of the output, pop the top, which may reach back
+    across several earlier blocks; then extend by the rest of the block.
     A token and its inverse share ``tok[1]``, so that is compared first
     and the inverse is looked up only when it matches."""
-    k, m = 0, len(block)
+    out = []
     inverse = _TOKEN_INV
-    while out and k < m:
-        head = block[k]
-        top = out[-1]
-        if top[1] != head[1] or top != inverse[head]:
-            break
-        out.pop()
-        k += 1
-    out.extend(block[k:] if k else block)
+    for block in blocks:
+        k, m = 0, len(block)
+        while out and k < m:
+            head = block[k]
+            top = out[-1]
+            if top[1] != head[1] or top != inverse[head]:
+                break
+            out.pop()
+            k += 1
+        out.extend(block[k:] if k else block)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +168,7 @@ class SymWord(Frozen):
     def __mul__(self, other: "SymWord") -> "SymWord":
         if self.basis != other.basis:
             raise ValueError("cannot multiply words over different bases")
-        out = list(self.tokens)
-        _push(out, other.tokens)
-        return _symword(self.basis, tuple(out))
+        return _symword(self.basis, _join((self.tokens, other.tokens)))
 
     def inv(self) -> "SymWord":
         return _symword(self.basis, tokens_inv(self.tokens))
@@ -362,10 +365,9 @@ def applyrels(start: SymWord, steps) -> SymWord:
             raise ValueError(
                 f"step {idx}: position {pos} out of range 0..{len(word.tokens)}"
             )
-        out = list(word.tokens[:pos])
-        _push(out, insert.tokens)
-        _push(out, word.tokens[pos:])
-        word = _symword(word.basis, tuple(out))
+        tokens = word.tokens
+        word = _symword(word.basis,
+                        _join((tokens[:pos], insert.tokens, tokens[pos:])))
     return word
 
 

@@ -158,6 +158,25 @@ def test_apply_compose_equals():
         assert (f * g).apply(w) == f.apply(g.apply(w))
 
 
+def test_endos_over_one_basis_compare_without_comparing_bases(monkeypatch):
+    f = transvection(B21, B21.x(1), 1, B21.word("y1"))
+    g = conjugation(B21, B21.x(2), B21.y(1))
+    other = Basis(2, 1)
+    one = Endo(other, tuple(other.generators()), ())
+    calls = []
+    compare = Basis.__eq__
+
+    def counted(self, basis):
+        calls.append(basis)
+        return compare(self, basis)
+
+    monkeypatch.setattr(Basis, "__eq__", counted)
+    assert f == f and f != g and f * g == f * g and f * f != f
+    assert calls == []
+    # equal bases that are different objects are still compared
+    assert one == identity(B21) and calls
+
+
 def test_inverse_by_factorization():
     p = swap(B21, B21.x(1), B21.x(2))
     assert p.inverse() == p

@@ -306,19 +306,23 @@ def test_a_wrong_inverse_permutation_never_accepts(monkeypatch):
 
 
 def test_the_index_is_built_once_per_rank_and_level(monkeypatch):
-    calls = {"phi_apply": 0, "rk0_instances": 0, "orbit_plan": 0}
+    names = ("phi_apply", "phi_word", "_join", "rk0_instances", "orbit_plan")
+    calls = dict.fromkeys(names + ("blocks",), 0)
 
     def counted(name):
         original = getattr(certificates, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "_join":
+                args = (list(args[0]),)
+                calls["blocks"] += len(args[0])
             return original(*args, **kwargs)
         return wrapper
 
     for table in ("_RANKS", "_PLANS", "_INDEX"):
         monkeypatch.setattr(certificates, table, {})
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(certificates, name, counted(name))
     reject = cert("""
         certificate v1; n=2
@@ -326,8 +330,21 @@ def test_the_index_is_built_once_per_rank_and_level(monkeypatch):
         insert @0: C[y1,x1]
         expect: C[y1,x1]
     """)
-    assert not check_certificate(reject, depth=1).ok
-    assert calls == {"phi_apply": 98 * 8, "rk0_instances": 1, "orbit_plan": 1}
-    calls.update(phi_apply=0, rk0_instances=0, orbit_plan=0)
-    assert not check_certificate(reject, depth=1).ok
-    assert calls == {"phi_apply": 0, "rk0_instances": 0, "orbit_plan": 0}
+    # at n = 2: 98 seeds of 424 tokens in all, 40 signed S_K tokens, 15
+    # signed quotient letters and 8 representatives.  Level 1 reads each
+    # seed through the table of each representative; level 2 through the
+    # table of each representative after each letter, 120 tables.
+    tokens = sum(len(inst.word.tokens) for inst in rk0_instances(2))
+    assert tokens == 424
+    for depth, work in (
+        (1, {"phi_apply": 8 * 40, "phi_word": 40, "_join": 98 * 8,
+             "blocks": 8 * 424, "rk0_instances": 1, "orbit_plan": 1}),
+        (2, {"phi_apply": 120 * 40, "phi_word": 15 * 40, "_join": 98 * 120,
+             "blocks": 120 * 424, "rk0_instances": 0, "orbit_plan": 0}),
+    ):
+        calls.update(dict.fromkeys(calls, 0))
+        assert not check_certificate(reject, depth=depth).ok
+        assert calls == work, depth
+        calls.update(dict.fromkeys(calls, 0))
+        assert not check_certificate(reject, depth=depth).ok
+        assert calls == dict.fromkeys(calls, 0), depth

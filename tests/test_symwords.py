@@ -6,6 +6,7 @@ from torellikit import symwords
 from torellikit.autos import Endo, classify
 from torellikit.symwords import (
     _ENDO_CACHE,
+    _join,
     _reduce_tokens,
     ALPHABETS,
     C,
@@ -291,6 +292,35 @@ def test_products_and_insertions_cancel_only_at_their_junctions():
             ):
                 assert got.tokens == _reduce_tokens(raw)
                 assert all(y != token_inv(x) for x, y in zip(got.tokens, got.tokens[1:]))
+
+
+def test_join_is_the_reduced_concatenation():
+    rng = random.Random(23)
+    for n in (2, 3):
+        kernel = signed_alphabet("S_K", n)
+        a, b, c, d = kernel[:4]
+        # the fifth block reaches back across the three before it
+        assert _join([(a,), (b,), (c,), (d,), tokens_inv((b, c, d)), (b,)]) == (a, b)
+        assert _join([(a, b), tokens_inv((a, b)), (), (c,)]) == (c,)
+
+        def block():
+            return _reduce_tokens([rng.choice(kernel) for _ in range(rng.randint(0, 4))])
+
+        deep = 0
+        for trial in range(150):
+            blocks = [block() for _ in range(rng.randint(0, 5))]
+            if trial % 4 == 0 and blocks:  # a block cancelling the one before in full
+                blocks.append(tokens_inv(blocks[-1]))
+            # a block that cancels the last tokens of the product so far,
+            # all of them at times, and goes on
+            joined = _reduce_tokens([t for piece in blocks for t in piece])
+            cut = rng.randint(0, len(joined))
+            blocks.append(_reduce_tokens(tokens_inv(joined[cut:]) + block()))
+            plain = _reduce_tokens([t for piece in blocks for t in piece])
+            assert _join(blocks) == plain
+            assert _join(iter(blocks)) == plain
+            deep += len(joined) - cut > max(map(len, blocks[:-1]), default=0)
+        assert deep >= 10, deep
 
 
 def test_applyrels_relator_insertion_preserves_interpretation():
