@@ -6,7 +6,10 @@ File format (line oriented, bit-exact)::
     start: <symword>
     insert @<pos>: <symword>
     ...
-    expect: <symword|1>
+    expect: <symword>
+
+where ``<symword>`` is ``1``, ``empty`` or tokens joined by ``*``, and
+``<n>`` and ``<pos>`` are ``[0-9]+``.
 
 A certificate has exactly one ``start:`` and one ``expect:`` line; a
 second of either is a parse error.
@@ -74,7 +77,7 @@ from .symwords import (
     signed_alphabet,
     std_basis,
 )
-from .words import Fields, _index
+from .words import Fields, _digits, _index
 
 
 class Certificate(Fields):
@@ -119,15 +122,23 @@ def parse_certificate(text: str) -> Certificate:
     header = lines[0].strip()
     if not header.startswith("certificate v1;"):
         raise CertificateError("line 1: expected 'certificate v1; n=<n>'")
+    rank = header.partition("n=")[2].strip()
     try:
-        n = int(header.split("n=", 1)[1])
-    except (IndexError, ValueError):
+        if not _digits(rank):
+            raise ValueError
+        n = int(rank)  # which refuses more than 4,300 digits
+    except ValueError:
         raise CertificateError("line 1: cannot parse rank from header") from None
     if n < 2:
         raise CertificateError("line 1: rank must be at least 2")
     if n > MAX_RANK:
         raise CertificateError(f"line 1: rank {n} above the limit {MAX_RANK}")
     basis = std_basis(n)
+
+    def word(body: str) -> SymWord:
+        body = body.strip()
+        return parse_word("1" if body == "empty" else body, basis)
+
     start = None
     start_line = 0
     expect = None
@@ -143,26 +154,23 @@ def parse_certificate(text: str) -> Certificate:
                     raise CertificateError(
                         f"line {lineno}: second 'start:' line (first on line {start_line})"
                     )
-                start = parse_word(line[len("start:"):], basis)
+                start = word(line[len("start:"):])
                 start_line = lineno
             elif line.startswith("insert @"):
-                head, colon, word = line[len("insert @"):].partition(":")
+                head, colon, body = line[len("insert @"):].partition(":")
                 if not colon:
                     raise CertificateError(
                         f"line {lineno}: expected 'insert @<pos>: <symword>'"
                     )
-                word = parse_word(word, basis)
+                insert = word(body)
                 pos = _index(head.strip(), "insert position")
-                steps.append((word, pos, lineno))
+                steps.append((insert, pos, lineno))
             elif line.startswith("expect:"):
                 if expect is not None:
                     raise CertificateError(
                         f"line {lineno}: second 'expect:' line (first on line {expect_line})"
                     )
-                body = line[len("expect:"):].strip()
-                if body == "empty":
-                    body = "1"
-                expect = parse_word(body, basis)
+                expect = word(line[len("expect:"):])
                 expect_line = lineno
             else:
                 raise CertificateError(f"line {lineno}: unrecognized line")

@@ -32,6 +32,10 @@ automorphisms), not by a product of automorphisms: each token rewrites
 only the images of the generators it moves, read from its entry in the
 token cache, and a generator's inverse block is built when a later token
 first needs it and dropped when that image changes.
+
+:func:`parse_word` keeps each token's canonical spelling (the text
+:func:`format_token` gives) in ``_PARSED``, at most one entry per token
+over the basis; any other spelling goes through :func:`parse_token`.
 """
 
 from __future__ import annotations
@@ -449,9 +453,32 @@ def parse_token(text: str, basis: Basis):
     return token_inv(tok) if invert else tok
 
 
+class _Spellings(dict):
+    """token text -> token over one basis; a text not yet met is parsed on
+    lookup, and kept only when it is the spelling ``format_token`` gives."""
+
+    __slots__ = ("basis",)
+
+    def __init__(self, basis: Basis):
+        self.basis = basis
+
+    def __missing__(self, text):
+        tok = parse_token(text, self.basis)
+        if format_token(tok, self.basis) == text:
+            self[text] = tok
+        return tok
+
+
+# basis -> its _Spellings: at most one entry per token over the basis
+# (4,500 at n = 8, k = 1)
+_PARSED: dict = {}
+
+
 def parse_word(text: str, basis: Basis) -> SymWord:
     text = text.strip()
     if text in ("", "1"):
         return SymWord(basis, ())
-    tokens = [parse_token(part, basis) for part in text.split("*")]
-    return SymWord(basis, tuple(tokens))
+    spellings = _PARSED.get(basis)
+    if spellings is None:
+        spellings = _PARSED.setdefault(basis, _Spellings(basis))
+    return SymWord(basis, tuple(spellings[part.strip()] for part in text.split("*")))

@@ -82,14 +82,19 @@ def _echo(text: str) -> str:
     return repr(text) if len(text) <= 80 else f"{text[:80]!r}..."
 
 
+def _digits(text: str) -> bool:
+    """Whether ``text`` is ``[0-9]+``: no sign, space, ``_`` or non-ASCII
+    digit, all of which ``int()`` would take."""
+    return text.isascii() and text.isdecimal()
+
+
 def _index(text: str, what: str) -> int:
     """The integer ``text``; ``what`` names it in an error message."""
     if len(text) > _INDEX_DIGITS:
         raise ValueError(f"{what} {_echo(text)} has more than {_INDEX_DIGITS} digits")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{what} {_echo(text)} is not an integer") from None
+    if not _digits(text):
+        raise ValueError(f"{what} {_echo(text)} is not an integer")
+    return int(text)
 
 
 class Basis(Frozen):
@@ -142,15 +147,12 @@ class Basis(Frozen):
         name, sign = text, 1
         if "^" in text:
             name, exp = text.split("^", 1)
-            try:
-                sign = int(exp)
-            except ValueError:
-                sign = 0
-            if sign not in (1, -1):
+            if exp not in ("1", "-1"):
                 raise ValueError(f"letter exponent must be +-1, got {_echo(text)}")
+            sign = int(exp)
         if name == "y" and self.k == 1:
             return self.y(1), sign
-        if len(name) < 2 or name[0] not in "xy" or not name[1:].isdecimal():
+        if len(name) < 2 or name[0] not in "xy" or not _digits(name[1:]):
             raise ValueError(f"cannot parse letter {_echo(text)}")
         idx = _index(name[1:], "letter index")
         code = self.x(idx) if name[0] == "x" else self.y(idx)

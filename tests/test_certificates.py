@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from torellikit import certificates
+from torellikit import certificates, symwords
 from torellikit.certificates import (
     MAX_DEPTH, MAX_RANK, check_certificate, parse_certificate, replay_certificate,
 )
@@ -154,6 +154,13 @@ def test_parse_errors():
     for text, message in (
         ("nonsense", "line 1"),
         ("certificate v1; n=9000x", "cannot parse rank"),
+        # only [0-9]+ is a rank or a position, never what int() would take
+        ("certificate v1; n=\u0663\nstart: 1\nexpect: 1", "cannot parse rank"),
+        ("certificate v1; n=+2\nstart: 1\nexpect: 1", "cannot parse rank"),
+        ("certificate v1; n=2\nstart: 1\ninsert @0_1: 1\nexpect: 1",
+         "line 3: insert position '0_1' is not an integer"),
+        ("certificate v1; n=2\nstart: 1\ninsert @+0: 1\nexpect: 1",
+         "line 3: insert position '+0' is not an integer"),
         (f"certificate v1; n={MAX_RANK + 1}\nstart: 1\nexpect: 1",
          "above the limit"),
         ("certificate v1; n=2\nexpect: 1", "missing 'start:'"),
@@ -178,6 +185,58 @@ def test_parse_certificate_structure():
     assert parsed.n == 2
     assert len(parsed.steps) == 1
     assert parsed.steps[0][1] == 1
+
+
+def test_empty_is_the_empty_word_on_every_word_line():
+    r = krel(1, 2, a=1, b=2)
+    for start, insert, expect in (("empty", "empty", "1"), ("1", "1", "empty"),
+                                  (" empty ", "empty", " empty")):
+        parsed = parse_certificate(
+            f"certificate v1; n=2\nstart:{start}\ninsert @0: {insert}\n"
+            f"insert @0: {r}\nexpect:{expect}\n"
+        )
+        assert parsed.start.tokens == parsed.steps[0][0].tokens == ()
+        assert parsed.expect.tokens == ()
+    report = check_certificate("certificate v1; n=2\nstart: empty\nexpect: 1\n")
+    assert report.ok, report.summary()
+
+
+def test_a_second_check_parses_no_token_text(monkeypatch):
+    """Each canonical token spelling is parsed once per process, so the
+    same certificate checked again calls the full token parser no more and
+    gets the same report."""
+    n = 2
+    basis = std_basis(n)
+    r = format_word(krel(1, n, a=1, b=2), basis)
+    image = format_word(
+        phi_word((M(basis.x(1), 1, basis.x(2)),), krel(1, n, a=1, b=2), n), basis)
+    texts = [cert(f"""
+        certificate v1; n={n}
+        start: C[y1,x1]
+        insert @1: {r}
+        insert @0: {image}
+        expect: {format_word(parse_word(f"{image} * C[y1,x1] * {r}", basis), basis)}
+    """), cert("""
+        certificate v1; n=2
+        start: 1
+        insert @0: C[y1,x1] * C[x2,y1^-1]
+        expect: empty
+    """)]
+    calls = []
+    parse_token = symwords.parse_token
+
+    def counted(text, basis):
+        calls.append(text)
+        return parse_token(text, basis)
+
+    monkeypatch.setattr(symwords, "_PARSED", {})
+    monkeypatch.setattr(symwords, "parse_token", counted)
+    first = [check_certificate(text) for text in texts]
+    assert [report.ok for report in first] == [True, False]
+    assert len(calls) == len(set(calls)) > 0
+    calls.clear()
+    assert [check_certificate(text) for text in texts] == first
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,17 @@ st = hypothesis.strategies
 from torellikit.certificates import CertificateError, parse_certificate  # noqa: E402
 from torellikit.cli import main  # noqa: E402
 from torellikit.lpres import CATALOG_MAX, _CATALOGS, _move, _permute, krel  # noqa: E402
+from torellikit import symwords  # noqa: E402
 from torellikit.symwords import (  # noqa: E402
     ALPHABETS,
+    SymWord,
     format_token,
     in_alphabet,
     parse_token,
+    parse_word,
     signed_alphabet,
     std_basis,
+    token_inv,
 )
 from torellikit.suites import MAX_SAMPLES, _SUITES, suite_names  # noqa: E402
 
@@ -39,6 +43,56 @@ def test_every_signed_token_round_trips():
     for n, tok in TOKENS:
         basis = std_basis(n)
         assert parse_token(format_token(tok, basis), basis) == tok
+
+
+# the signed S_K and S_Q tokens of ranks 2..4, for spelled words
+SPELLED = {n: signed_alphabet("S_K", n) + signed_alphabet("S_Q", n)
+           for n in (2, 3, 4)}
+
+
+@st.composite
+def spelled_words(draw):
+    """A rank, a word of up to six S_K and S_Q tokens, and its text in drawn
+    spellings: spaces, ``y`` for ``y1``, ``^1`` on a letter or a token,
+    either sign on C's first letter, and a token as its inverse's ``]^-1``."""
+    n = draw(st.integers(2, 4))
+    basis = std_basis(n)
+    tokens = draw(st.lists(st.sampled_from(SPELLED[n]), max_size=6))
+    pad = st.sampled_from(["", " ", "  "])
+    one = st.sampled_from(["", "^1"])
+    parts = []
+    for tok in tokens:
+        invert = draw(st.booleans())
+        tag, *args = token_inv(tok) if invert else tok
+        if tag in ("P", "I"):
+            letters = [str(code + 1) for code in args]
+        else:
+            letters = []
+            for i, (code, sign) in enumerate(args):
+                name = basis.gen_name(code)
+                if name == "y1" and draw(st.booleans()):
+                    name = "y"
+                if tag == "C" and i == 0:
+                    sign = draw(st.sampled_from([1, -1]))
+                letters.append(name + ("^-1" if sign == -1 else draw(one)))
+        body = ",".join(draw(pad) + letter + draw(pad) for letter in letters)
+        suffix = "^-1" if invert else draw(one)
+        parts.append(f"{draw(pad)}{tag}{draw(pad)}[{body}]{suffix}{draw(pad)}")
+    return n, tokens, "*".join(parts) or draw(st.sampled_from(["1", "", " 1 "]))
+
+
+@hypothesis.settings(max_examples=200, deadline=1000)
+@hypothesis.given(spelled_words())
+def test_each_spelling_parses_alike_warm_cold_and_token_by_token(drawn):
+    n, tokens, text = drawn
+    basis = std_basis(n)
+    want = SymWord(basis, tuple(tokens))
+    assert parse_word(text, basis) == want
+    symwords._PARSED.clear()
+    assert parse_word(text, basis) == want
+    assert parse_word(text, basis) == want
+    parts = () if text.strip() in ("", "1") else text.split("*")
+    assert SymWord(basis, tuple(parse_token(p, basis) for p in parts)) == want
 
 
 # every signed S_K, S_Q and S_C token of ranks 2..5, with its alphabet
@@ -129,6 +183,12 @@ def test_malformed_tokens_have_one_line_messages():
         ("M[x1^" + "1" * 5000 + ",x2]",
          "letter exponent must be +-1, got 'x1^" + "1" * 77 + "'..."),
         ("x" * 5000, "cannot parse token '" + "x" * 80 + "'..."),
+        # only [0-9]+ is an index and only 1 or -1 an exponent
+        ("P[+1,2]", "swap index '+1' is not an integer"),
+        ("I[ 1_0 ]", "inversion index '1_0' is not an integer"),
+        ("C[x\u0661,y]", "cannot parse letter 'x\u0661'"),
+        ("M[x1^+1,x2]", "letter exponent must be +-1, got 'x1^+1'"),
+        ("M[x1,x2^01]", "letter exponent must be +-1, got 'x2^01'"),
     ):
         cert = f"certificate v1; n=3\nstart: {text}\nexpect: 1\n"
         with pytest.raises(CertificateError) as exc:

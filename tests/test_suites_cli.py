@@ -236,6 +236,11 @@ def test_cli_usage_errors(tmp_path, capsys):
     long_pos.write_text(f"certificate v1; n=2\nstart: 1\ninsert @{'3' * 5000}: 1\nexpect: 1\n")
     two_expects = tmp_path / "expects.cert"
     two_expects.write_text("certificate v1; n=2\nstart: 1\nexpect: 1\n\nexpect: 1\n")
+    arabic_rank = tmp_path / "arabic.cert"
+    arabic_rank.write_text("certificate v1; n=\u0663\nstart: 1\nexpect: 1\n",
+                           encoding="utf-8")
+    signed_letter = tmp_path / "signed.cert"
+    signed_letter.write_text("certificate v1; n=2\nstart: C[x1^+1,y1]\nexpect: 1\n")
     rank5 = tmp_path / "rank5.cert"
     rank5.write_text("certificate v1; n=5\nstart: 1\nexpect: 1\n")
     example = str(Path(__file__).resolve().parent.parent / "demos" / "example.cert")
@@ -263,6 +268,10 @@ def test_cli_usage_errors(tmp_path, capsys):
         (["certify", "--file", str(long_pos)],
          f"error: {long_pos}: line 3: insert position '{'3' * 80}'... has more "
          "than 18 digits\n"),
+        (["certify", "--file", str(arabic_rank)],
+         f"error: {arabic_rank}: line 1: cannot parse rank from header\n"),
+        (["certify", "--file", str(signed_letter)],
+         f"error: {signed_letter}: line 2: letter exponent must be +-1, got 'x1^+1'\n"),
         (["certify", "--file", str(two_expects)],
          f"error: {two_expects}: line 5: second 'expect:' line (first on line 3)\n"),
         (["certify", "--file", example, "--depth", "-1"],

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -143,6 +144,92 @@ def test_parse_and_format_round_trip():
     assert parse_word("1", B).tokens == ()
     with pytest.raises(ValueError):
         parse_token("Q[1]", B)
+
+
+def every_token(n):
+    """Every token over the basis x1..xn, y, as the constructors build them."""
+    codes = range(n + 1)
+    signs = (1, -1)
+    return (
+        [M(z, zs, v, vs) for z, v in permutations(codes, 2)
+         for zs in signs for vs in signs]
+        + [C(u, w, ws) for u, w in permutations(codes, 2) for ws in signs]
+        + [Mc(a, as_, p, ps, q, qs) for a, p, q in permutations(codes, 3)
+           for as_ in signs for ps in signs for qs in signs]
+        + [P(a, c) for a, c in combinations(range(n), 2)]
+        + [I(a) for a in range(n)]
+    )
+
+
+def test_every_canonical_spelling_parses_as_parse_token_cold_and_warm(monkeypatch):
+    assert len(every_token(8)) == 4500
+    monkeypatch.setattr(symwords, "_PARSED", {})
+    for n in (2, 3, 4):
+        basis = std_basis(n)
+        tokens = every_token(n)
+        texts = [format_token(tok, basis) for tok in tokens]
+        for _ in ("cold", "warm"):
+            for tok, text in zip(tokens, texts):
+                assert parse_token(text, basis) == tok
+                assert parse_word(text, basis) == SymWord(basis, (tok,))
+        assert symwords._PARSED[basis] == dict(zip(texts, tokens))
+        whole = " * ".join(texts)
+        assert parse_word(whole, basis) == SymWord(basis, tuple(tokens))
+
+
+def test_other_spellings_give_todays_tokens_and_are_not_kept(monkeypatch):
+    monkeypatch.setattr(symwords, "_PARSED", {})
+    for text, tok in (
+        ("C[x1^-1,y]", C(0, Y)),
+        ("M[x1,y]", M(0, 1, Y)),
+        (" Mc[ x1 , y1 , x2 ]", Mc(0, 1, Y, 1, 1, 1)),
+        ("M[x1,x2]^1", M(0, 1, 1)),
+        ("C[x1,y1]^-1", C(0, Y, -1)),
+    ):
+        for _ in range(2):
+            assert parse_token(text, B) == tok
+            assert parse_word(text, B).tokens == (tok,)
+            assert parse_word(f"{text} * {text}", B).tokens == (tok, tok)
+    assert symwords._PARSED == {B: {}}
+    for tok in (C(0, Y), M(0, 1, Y), C(0, Y, -1)):
+        parse_word(format_token(tok, B), B)
+    assert symwords._PARSED == {B: {"C[x1,y1]": C(0, Y), "M[x1,y1]": M(0, 1, Y),
+                                    "C[x1,y1^-1]": C(0, Y, -1)}}
+
+
+def test_a_text_that_raises_is_not_kept_and_raises_again(monkeypatch):
+    monkeypatch.setattr(symwords, "_PARSED", {})
+    for text in ("M[x1,x1]", "C[x1,y1", "Q[1]", "P[+1,2]", "I[4]", "M[x1^01,y1]"):
+        with pytest.raises(ValueError) as reference:
+            parse_token(text, B)
+        for _ in range(2):
+            with pytest.raises(ValueError) as exc:
+                parse_word(f"C[y1,x1] * {text}", B)
+            assert str(exc.value) == str(reference.value), text
+    assert symwords._PARSED == {B: {"C[y1,x1]": C(Y, 0)}}
+
+
+def test_the_memo_keeps_at_most_one_spelling_per_token(monkeypatch):
+    monkeypatch.setattr(symwords, "_PARSED", {})
+    rng = random.Random(31)
+    for n in (2, 3):
+        basis = std_basis(n)
+        tokens = every_token(n)
+        for tok in tokens:
+            text = format_token(tok, basis)
+            padded = text.replace(",", " , ")
+            spelled = text.replace("y1", "y") + ("^1" if rng.random() < 0.5 else "")
+            inverse = format_token(token_inv(tok), basis) + "^-1"
+            parse_word(" * ".join((padded, spelled, inverse, text)), basis)
+        assert len(symwords._PARSED[basis]) == len(tokens)
+
+
+def test_each_rank_parses_its_own_tokens(monkeypatch):
+    # y1 is code 2 at n = 2 and code 3 at n = 3
+    monkeypatch.setattr(symwords, "_PARSED", {})
+    assert parse_word("C[x1,y1]", std_basis(2)).tokens == (C(0, 2),)
+    assert parse_word("C[x1,y1]", std_basis(3)).tokens == (C(0, 3),)
+    assert parse_word("C[x1,y1]", std_basis(2)).tokens == (C(0, 2),)
 
 
 def test_alphabet_membership():
