@@ -1,17 +1,17 @@
 """Endomorphisms and automorphisms of the free group F_{n,k}.
 
-An :class:`Endo` stores one image word per basis generator, plus an optional
-factorization into named elementary automorphisms (transvections,
-conjugation moves, swaps, inversions).  The factorization is what makes
-inversion possible without any Whitehead-style search: each named factor
-inverts by its own rule, and :meth:`Endo.inverse` folds the inverted atoms
-in reverse order.
+An :class:`Endo` stores the reduced letter tuple of each basis generator's
+image, plus an optional factorization into named elementary automorphisms
+(transvections, conjugation moves, swaps, inversions).  The factorization
+is what makes inversion possible without any Whitehead-style search: each
+named factor inverts by its own rule, and :meth:`Endo.inverse` folds the
+inverted atoms in reverse order.
 
 Composition convention: ``f * g`` applies ``g`` first, so
 ``(f * g)(w) = f(g(w))`` and products act on the left.
 
 Composition builds only what changed: where ``g`` sends a generator to a
-generator, ``f * g`` reuses ``f``'s image word.  So composing with a
+generator, ``f * g`` reuses ``f``'s image letters.  So composing with a
 transvection, a conjugation move or an inversion builds one new image, and
 with a swap none.  Image blocks are joined with cancellation only at each
 junction, since every image is already freely reduced.  A product with the
@@ -22,8 +22,8 @@ compare, since it is its own inverse: its ``_inv`` is itself.
 
 Every image is built by one letter-level kernel, ``_image_letters``, which
 reads the generator images as letter tuples.  The inverse block of an
-image is built the first time a letter needs it and kept for the rest of
-the call, so a word that repeats ``x^-1`` inverts ``f(x)`` once.  Where
+image is built the first time a letter needs it and kept on the
+automorphism, so ``f`` inverts ``f(x)`` at most once.  Where
 a block of more than ``_SCAN`` (32) letters cancels, the cancelled letters
 are counted in one C-level scan: the prefix built so far, read backwards,
 against the block's inverse read backwards, which is ``f(x)`` itself for a
@@ -67,15 +67,20 @@ from .words import (
 class Endo:
     """Endomorphism of F_{n,k} given by images of the basis generators.
 
-    Two slots are filled on first use and kept, since an Endo is
-    immutable: ``_hash``, and ``_inv``, the inverse :meth:`inverse` folds
-    from the factorization.  The inverse's own ``_inv`` points back, so
-    ``f.inverse().inverse() is f``.
+    Its data is ``letters``, one reduced tuple of shared letters per
+    generator, which every product, application, comparison and hash
+    reads.  The image :class:`~torellikit.words.Word` objects,
+    ``images``, are kept from ``Endo(...)`` or built on first access.
+    Three more slots are filled on first use and kept, since an Endo is
+    immutable: ``_hash``; ``_invs``, each image's inverse block once a
+    product or application needs it; and ``_inv``, the inverse
+    :meth:`inverse` folds from the factorization.  The inverse's own
+    ``_inv`` points back, so ``f.inverse().inverse() is f``.
     The shared identity of each basis is the one Endo whose ``_inv`` is
     itself.
     """
 
-    __slots__ = ("basis", "images", "factors", "_hash", "_inv")
+    __slots__ = ("basis", "letters", "factors", "_images", "_invs", "_hash", "_inv")
 
     def __init__(self, basis: Basis, images, factors=None):
         if len(images) != basis.size:
@@ -84,19 +89,39 @@ class Endo:
             if w.basis is not basis and w.basis != basis:
                 raise ValueError("image word over the wrong basis")
         self.basis = basis
-        self.images = tuple(images)
+        self.letters = tuple([w.letters for w in images])
         self.factors = None if factors is None else tuple(factors)
+        self._images = tuple(images)
+        self._invs = None
         self._hash = None
         self._inv = None
+
+    def __reduce__(self):
+        # rebuilt by Endo(...) from Words, so its letters are the shared ones
+        return Endo, (self.basis, self.images, self.factors)
+
+    @property
+    def images(self) -> tuple:
+        images = self._images
+        if images is None:
+            basis = self.basis
+            images = self._images = tuple([_word(basis, img) for img in self.letters])
+        return images
 
     def image(self, code: int) -> Word:
         return self.images[code]
 
+    def _inverse_blocks(self) -> list:
+        invs = self._invs
+        if invs is None:
+            invs = self._invs = [None] * len(self.letters)
+        return invs
+
     def apply(self, w: Word) -> Word:
         if w.basis is not self.basis and w.basis != self.basis:
             raise ValueError("word over the wrong basis")
-        imgs = [img.letters for img in self.images]
-        return _word(self.basis, _image_letters(imgs, [None] * len(imgs), w.letters))
+        return _word(self.basis,
+                     _image_letters(self.letters, self._inverse_blocks(), w.letters))
 
     def __mul__(self, other: "Endo") -> "Endo":
         """Composition, ``other`` first: ``(f * g)(w) = f(g(w))``."""
@@ -107,21 +132,17 @@ class Endo:
             return self
         if self._inv is self:
             return other
-        mine = self.images
+        mine = self.letters
         images = []
-        imgs = invs = None
-        for w in other.images:
-            letters = w.letters
+        invs = None
+        for letters in other.letters:
             if len(letters) == 1 and letters[0][1] == 1:
                 # other sends this generator to a generator: f's image as is
                 images.append(mine[letters[0][0]])
             else:
-                if imgs is None:
-                    # built for the first image that needs the kernel, so a
-                    # product that only permutes generators builds nothing
-                    imgs = [img.letters for img in mine]
-                    invs = [None] * len(imgs)
-                images.append(_word(basis, _image_letters(imgs, invs, letters)))
+                if invs is None:
+                    invs = self._inverse_blocks()
+                images.append(_image_letters(mine, invs, letters))
         factors = None
         if self.factors is not None and other.factors is not None:
             factors = self.factors + other.factors
@@ -136,19 +157,17 @@ class Endo:
         return (
             isinstance(other, Endo)
             and (self.basis is other.basis or self.basis == other.basis)
-            and self.images == other.images
+            and self.letters == other.letters
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.basis, self.images))
+            self._hash = hash((self.basis, self.letters))
         return self._hash
 
     @property
     def is_identity(self) -> bool:
-        return all(
-            w.letters == ((code, 1),) for code, w in enumerate(self.images)
-        )
+        return self.letters == identity(self.basis).letters
 
     def inverse(self) -> "Endo":
         """Invert by folding the inverted atoms in reverse order (see the
@@ -182,14 +201,16 @@ class Endo:
     __repr__ = __str__
 
 
-def _endo(basis: Basis, images: tuple, factors) -> Endo:
-    """An endomorphism from a tuple of image words over ``basis`` and a
-    factor tuple or ``None``.  Internal paths build through this;
-    ``Endo(...)`` validates."""
+def _endo(basis: Basis, letters: tuple, factors) -> Endo:
+    """An endomorphism from a tuple of image letter tuples, reduced and
+    shared, over ``basis`` and a factor tuple or ``None``.  Internal paths
+    build through this; ``Endo(...)`` validates."""
     f = object.__new__(Endo)
     f.basis = basis
-    f.images = images
+    f.letters = letters
     f.factors = factors
+    f._images = None
+    f._invs = None
     f._hash = None
     f._inv = None
     return f
@@ -276,7 +297,7 @@ def _fold(basis: Basis, moves, factors) -> Endo:
     A generator's inverse block is built when a letter first needs it and
     dropped when its image changes.
     """
-    imgs = [w.letters for w in identity(basis).images]
+    imgs = list(identity(basis).letters)
     invs = [None] * len(imgs)
     image_letters = _image_letters
     for moved in moves:
@@ -290,8 +311,7 @@ def _fold(basis: Basis, moves, factors) -> Endo:
             for (code, _), img in zip(moved, new):
                 imgs[code] = img
                 invs[code] = None
-    images = tuple([_word(basis, letters) for letters in imgs])
-    return _endo(basis, images, factors)
+    return _endo(basis, tuple(imgs), factors)
 
 
 def _atom_inverse(atom):
@@ -339,11 +359,10 @@ def _elementary(basis: Basis, atom) -> Endo:
     caller's: ``symwords.token_endo`` keeps it for every equal basis."""
     # identity first: it enters the generators' letters that the moves read
     one = identity(basis)
-    basis = one.basis
-    images = list(one.images)
+    imgs = list(one.letters)
     for code, letters in _atom_moves(atom):
-        images[code] = _word(basis, letters)
-    return _endo(basis, tuple(images), (atom,))
+        imgs[code] = letters
+    return _endo(one.basis, tuple(imgs), (atom,))
 
 
 def transvection(basis: Basis, z: int, alpha: int, v: Word) -> Endo:
@@ -355,7 +374,7 @@ def transvection(basis: Basis, z: int, alpha: int, v: Word) -> Endo:
     """
     if alpha not in (1, -1):
         raise ValueError("alpha must be +-1")
-    if v.basis != basis:
+    if v.basis is not basis and v.basis != basis:
         raise ValueError("v over the wrong basis")
     if v.mentions(z):
         raise ValueError(f"transvection word mentions {basis.gen_name(z)}")

@@ -129,11 +129,11 @@ def _relabelling_commutes(n, letters) -> bool:
                 or {move[t] for t in kernel} != set(kernel)):
             return False
         for t in signed_kernel:
-            before = interpret((t,), basis).images
-            after = interpret((move[t],), basis).images
+            before = interpret((t,), basis).letters
+            after = interpret((move[t],), basis).letters
             for c, image in enumerate(before):
-                relabelled = tuple((perm[d], e) for d, e in image.letters)
-                if after[perm[c]].letters != relabelled:
+                relabelled = tuple((perm[d], e) for d, e in image)
+                if after[perm[c]] != relabelled:
                     return False
         moves.append((letter_move, move))
     kernel_orbits = list(_orbits(kernel, [move for _, move in moves]))

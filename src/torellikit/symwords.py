@@ -170,7 +170,7 @@ class SymWord(Frozen):
         return bool(self.tokens)
 
     def __mul__(self, other: "SymWord") -> "SymWord":
-        if self.basis != other.basis:
+        if self.basis is not other.basis and self.basis != other.basis:
             raise ValueError("cannot multiply words over different bases")
         return _symword(self.basis, _join((self.tokens, other.tokens)))
 
@@ -363,7 +363,7 @@ def applyrels(start: SymWord, steps) -> SymWord:
     """
     word = start
     for idx, (insert, pos) in enumerate(steps):
-        if insert.basis != word.basis:
+        if insert.basis is not word.basis and insert.basis != word.basis:
             raise ValueError(f"step {idx}: insert word over the wrong basis")
         if not 0 <= pos <= len(word.tokens):
             raise ValueError(

@@ -34,7 +34,7 @@ from .symwords import (
     C, M, Mc, SymWord, alphabet, in_alphabet, interpret, signed_alphabet,
     std_basis, token_inv, tokens_inv,
 )
-from .words import Basis, _inverse_letters, _word
+from .words import Basis, _inverse_letters
 from .lpres import phi_word
 
 DEFAULT_SEED = 0x5EED
@@ -74,9 +74,8 @@ def iota1(f, n: int) -> autos.Endo:
         small = aut_basis(n)
         if f.basis is not small and f.basis != small:
             raise ValueError("not an automorphism of F_n")
-        images = [_word(big, w.letters) for w in f.images]
-        images.append(autos.identity(big).images[big.y(1)])
-        return autos._endo(big, tuple(images), f.factors)
+        letters = f.letters + (autos.identity(big).letters[big.y(1)],)
+        return autos._endo(big, letters, f.factors)
     return interpret(f, big)
 
 
@@ -116,16 +115,16 @@ def _iota2(z: tuple, n: int) -> autos.Endo:
     if not any(z):
         return one
     big = one.basis
-    images = list(one.images)
-    y_plus = images[big.y(1)].letters
+    letters = list(one.letters)
+    y_plus = letters[big.y(1)]
     y_minus = _inverse_letters(y_plus)
     factors = []
     for i, zi in enumerate(z):
         if zi:
             y_pow = y_plus if zi > 0 else y_minus
-            images[i] = _word(big, y_pow * abs(zi) + images[i].letters)
+            letters[i] = y_pow * abs(zi) + letters[i]
             factors.extend([("M", i, 1, y_pow)] * abs(zi))
-    return autos._endo(big, tuple(images), tuple(factors))
+    return autos._endo(big, tuple(letters), tuple(factors))
 
 
 def _neg(z) -> tuple:

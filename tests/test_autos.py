@@ -1,11 +1,14 @@
+import copy
+import pickle
 import random
 
 import pytest
 
-from torellikit import intmat
+from torellikit import autos, intmat, symwords
 from torellikit.autos import (
     _SCAN,
     Endo,
+    _elementary,
     _fold,
     _image_letters,
     classify,
@@ -22,8 +25,8 @@ from torellikit.autos import (
     transvection,
     wedge,
 )
-from torellikit.symwords import std_basis
-from torellikit.twisted import iota2
+from torellikit.symwords import alphabet, interpret, std_basis
+from torellikit.twisted import iota1, iota2
 from torellikit.words import (
     _INVERSE,
     _LETTERS,
@@ -383,10 +386,120 @@ def test_compose_reuses_unmoved_images():
     f = transvection(b, b.x(2), 1, b.word("y1"))
     t = conjugation(b, b.x(1), b.y(1))
     ft = f * t
-    assert all(ft.images[c] is f.images[c] for c in range(b.size) if c != b.x(1))
+    assert all(ft.letters[c] is f.letters[c] for c in range(b.size) if c != b.x(1))
     p = f * swap(b, b.x(1), b.x(2))
-    assert p.images[b.x(1)] is f.images[b.x(2)]
-    assert p.images[b.x(2)] is f.images[b.x(1)]
+    assert p.letters[b.x(1)] is f.letters[b.x(2)]
+    assert p.letters[b.x(2)] is f.letters[b.x(1)]
+
+
+def every_construction(n):
+    """One automorphism of F_{n,1} (or of F_n, for ``iota1``) from each
+    construction path: its name and the automorphism."""
+    b = std_basis(n)
+    small = Basis(n)
+    m = transvection(b, b.x(1), 1, b.word("y1 x2"))
+    c = conjugation(b, b.x(2), b.y(1), -1)
+    tokens = (symwords.M(0, 1, n), symwords.C(1, 0, -1), symwords.P(0, 1))
+    return [
+        ("Endo", Endo(b, [m.images[0]] + list(b.generators()[1:]), m.factors)),
+        ("identity", identity(b)),
+        ("mul", m * c),
+        ("inverse", (m * c).inverse()),
+        ("interpret", interpret(tokens, b)),
+        ("iota1", iota1(conjugation(small, 0, 1) * swap(small, 0, 1), n)),
+        ("iota2", iota2((2, -1, 0)[:n], n)),
+        ("_elementary", _elementary(b, ("C", b.x(1), b.y(1), 1))),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_construction_path_sets_every_slot(n):
+    for name, f in every_construction(n):
+        for slot in Endo.__slots__:
+            getattr(f, slot)  # raises AttributeError for an unset slot
+        assert len(f.letters) == f.basis.size, name
+        assert type(f.letters) is tuple, name
+        for img in f.letters:
+            assert type(img) is tuple, name
+            assert all(letter is _LETTERS[letter] for letter in img), name
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_images_are_built_once_from_the_letters(n):
+    for name, f in every_construction(n):
+        assert f.images is f.images, name
+        assert tuple(w.letters for w in f.images) == f.letters, name
+        assert all(w.basis is f.basis for w in f.images), name
+        assert f.image(0) is f.images[0], name
+
+
+def test_validated_and_composed_automorphisms_with_equal_images_are_equal():
+    rng = random.Random(29)
+    b = Basis(3, 1)
+    for _ in range(50):
+        f = random_endo(b, rng) * random_elementary(b, rng)
+        twin = Endo(b, [Word(b, img) for img in f.letters], f.factors)
+        assert twin == f and f == twin and hash(twin) == hash(f)
+        assert twin.letters == f.letters
+        assert {f: 1}[twin] == 1
+
+
+def test_a_product_with_its_inverse_is_the_identity():
+    rng = random.Random(31)
+    b = Basis(3, 1)
+    one = Endo(Basis(3, 1), tuple(Basis(3, 1).generators()), ())
+    assert one.is_identity and one is not identity(b)
+    for _ in range(100):
+        f = identity(b)
+        for _ in range(rng.randint(1, 6)):
+            f = f * random_elementary(b, rng)
+        assert (f * f.inverse()).is_identity and (f.inverse() * f).is_identity
+        assert f.is_identity == (f.letters == one.letters)
+    assert not swap(b, b.x(1), b.x(2)).is_identity
+    assert not inversion(b, b.x(1)).is_identity
+
+
+def test_pickled_and_copied_automorphisms_keep_shared_letters():
+    b = std_basis(2)
+    f = transvection(b, b.x(1), -1, b.word("y1 x2")) * iota2((3, -2), 2)
+    for back in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        assert back == f and back.factors == f.factors
+        for img in back.letters:
+            assert all(letter is _LETTERS[letter] for letter in img)
+        assert (back * f.inverse()).is_identity and (f * back.inverse()).is_identity
+
+
+def test_interpret_compose_and_compare_build_no_word(monkeypatch):
+    # the automorphisms' data are their image letter tuples: Words are built
+    # only when ``images`` is read, and equality compares tuples in C
+    b = std_basis(3)
+    tokens = alphabet("S_K", 3)[:4] + alphabet("S_A", 3)[:3]
+    for tok in tokens:
+        interpret((tok,), b)  # the token cache builds its transvection words
+    built, compared = [], []
+    make, equal, init = autos._word, Word.__eq__, Word.__init__
+
+    def counted_word(basis, letters):
+        built.append(letters)
+        return make(basis, letters)
+
+    def counted_init(self, basis, letters=()):
+        built.append(letters)
+        init(self, basis, letters)
+
+    def counted_eq(self, other):
+        compared.append(other)
+        return equal(self, other)
+
+    monkeypatch.setattr(autos, "_word", counted_word)
+    monkeypatch.setattr(Word, "__init__", counted_init)
+    monkeypatch.setattr(Word, "__eq__", counted_eq)
+    f = interpret(tokens, b)
+    g = interpret(tokens[::-1], b)
+    fg = f * g
+    assert fg == f * g and fg != g * f and f == interpret(tokens, b)
+    assert (fg * fg.inverse()).is_identity
+    assert built == [] and compared == []
 
 
 def test_apply_on_repeated_inverse_letters_equals_reduce_of_concatenation():
